@@ -151,12 +151,10 @@ class ProgramSolver:
     """
 
     def __init__(self, model: U.Model, test: LitmusTest,
-                 order_encoding: str = "components",
                  sat_core: str = "arena"):
         start = time.perf_counter()
         self.model = model
         self.test = test
-        self.order_encoding = order_encoding
         self.sat_core = sat_core
         self.cnf = Cnf()
         self.ctx = SymbolicContext(test, self.cnf)
@@ -176,7 +174,7 @@ class ProgramSolver:
         if not self.always_unsat:
             self._encode_final_memory()
             self.stats.order_components = _add_order_constraints(
-                self.evaluator, order_encoding)
+                self.evaluator)
             self.solver = make_solver(core=sat_core)
             self.solver.add_cnf(self.cnf)
         self.stats.vars = self.cnf.num_vars
@@ -217,8 +215,7 @@ class ProgramSolver:
         return solve_observability(
             self.model,
             LitmusTest(self.test.name, self.test.program, tuple(condition)),
-            order_encoding=self.order_encoding, clock=clock,
-            sat_core=self.sat_core)
+            clock=clock, sat_core=self.sat_core)
 
     # Plan kinds: how one condition will be decided.
     _FALLBACK = "fallback"   # route to the fresh per-condition path

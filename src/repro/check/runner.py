@@ -73,7 +73,6 @@ class SuiteRunResult:
 
 def run_suite(model: Model, tests: Iterable[LitmusTest], *,
               jobs: int = 1, engine: str = "fresh",
-              order_encoding: str = "components",
               keep_graphs: bool = False,
               budget: Optional[Budget] = None,
               journal_path: Optional[str] = None,
@@ -88,8 +87,7 @@ def run_suite(model: Model, tests: Iterable[LitmusTest], *,
     """
     tests = list(tests)
     checker = Checker(model, keep_graphs=keep_graphs, engine=engine,
-                      order_encoding=order_encoding, budget=budget,
-                      sat_core=sat_core)
+                      budget=budget, sat_core=sat_core)
     result = SuiteRunResult(verdicts=[], journal_path=journal_path,
                             engine_used=checker.engine_used)
     journal = None
@@ -143,8 +141,7 @@ def _sweep_one_worker(payload) -> ProgramResult:
     state = worker_state()
     program, include_final_memory = payload
     return _check_program(state["model"], program, include_final_memory,
-                          state["engine"], state["order_encoding"],
-                          budget=state.get("budget"),
+                          state["engine"], budget=state.get("budget"),
                           sat_core=state.get("sat_core", "arena"))
 
 
@@ -159,7 +156,6 @@ def run_sweep(model: Model, *, max_threads: int = 2, max_len: int = 2,
               include_final_memory: bool = True,
               limit: Optional[int] = None,
               jobs: int = 1, engine: str = "incremental",
-              order_encoding: str = "components",
               budget: Optional[Budget] = None,
               journal_path: Optional[str] = None,
               resume: bool = False,
@@ -221,11 +217,10 @@ def run_sweep(model: Model, *, max_threads: int = 2, max_len: int = 2,
             [(programs[index], include_final_memory) for index in pending],
             _sweep_one_worker,
             lambda payload: _check_program(model, payload[0], payload[1],
-                                           engine, order_encoding,
-                                           budget=budget, sat_core=sat_core),
+                                           engine, budget=budget,
+                                           sat_core=sat_core),
             jobs,
-            state={"model": model, "engine": engine,
-                   "order_encoding": order_encoding, "budget": budget,
+            state={"model": model, "engine": engine, "budget": budget,
                    "sat_core": sat_core},
             fault_plan=fault_plan,
             validate=_valid_program_result,

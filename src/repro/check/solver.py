@@ -1,27 +1,27 @@
-"""Observability solving: SAT with an eager happens-before order.
+"""Observability solving: SAT with an eager acyclicity encoding.
 
 The Check tools search for an acyclic µhb graph satisfying all axioms;
-acyclic = the execution is possible (paper section 2). Here acyclicity
-is encoded eagerly: a strict-partial-order relation R over the µhb
-nodes (antisymmetric + transitive) with every asserted edge implying
-R(src, dst). Any edge cycle would force both R(a,b) and R(b,a), so a
-single SAT call decides observability — SAT means the outcome is
-observable and the model yields a witness graph; UNSAT proves the
-outcome impossible on the modeled microarchitecture.
+acyclic = the execution is possible (paper section 2).  Here acyclicity
+is encoded eagerly, so a single SAT call decides observability — SAT
+means the outcome is observable and the model yields a witness graph;
+UNSAT proves the outcome impossible on the modeled microarchitecture.
 
-Order variables and transitivity clauses are allocated per weakly
-connected component of the candidate-edge graph (``order_encoding=
-"components"``): a cycle is a connected subgraph, so edges in different
-components can never close one and cross-component order variables are
-dead weight.  The seed's all-pairs encoding is kept as
-``order_encoding="allpairs"`` for A/B testing and benchmarks.
+A cycle of chosen edges lies inside one strongly connected component
+(SCC) of the candidate-edge graph, so only SCCs with two or more nodes
+are encoded.  Inside an SCC, a reachability variable ``R(a,b)`` per
+ordered node pair is propagated along each candidate edge ``e=(b,c)``:
+``e -> R(b,c)``, ``R(a,b) & e -> R(a,c)``, and ``R(c,b) & e -> False``.
+Any chosen cycle forces a forbidden ``R(x,x)``; an acyclic choice is
+satisfied by the transitive closure.  That costs ``n * |E|`` clauses
+per SCC of ``n`` nodes and ``|E|`` edges, instead of the ``n^3``
+transitivity clauses of a strict-partial-order encoding.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
 from ..errors import CheckError
 from ..litmus import LitmusTest
@@ -73,7 +73,9 @@ class SolveStats:
     totals feeding ``--profile-sat``; ``batch_shared_levels`` /
     ``batch_assumption_levels`` measure how much assumption-prefix
     propagation :meth:`ProgramSolver.decide_batch` reused (their ratio
-    is the prefix-share ratio in profile reports).
+    is the prefix-share ratio in profile reports).  ``order_components``
+    counts the cyclic SCCs (two or more nodes) the acyclicity encoding
+    covered; 0 means the candidate-edge graph is already a DAG.
     """
 
     vars: int = 0
@@ -167,73 +169,84 @@ def _find_cycle(edges: List[UhbEdge]) -> Optional[List[UhbEdge]]:
     return None
 
 
-def _weak_components(nodes: Sequence[UhbNode],
-                     edges: Dict[UhbEdge, int]) -> List[List[UhbNode]]:
-    """Weakly connected components of the candidate-edge graph, each a
-    sorted node list; components ordered by smallest member."""
-    parent: Dict[UhbNode, UhbNode] = {node: node for node in nodes}
+def _cyclic_sccs(edges: Iterable[UhbEdge]) -> List[List[UhbNode]]:
+    """The strongly connected components with at least two nodes of the
+    directed graph ``edges``, each a sorted node list, ordered by
+    smallest member.
 
-    def find(node: UhbNode) -> UhbNode:
-        root = node
-        while parent[root] != root:
-            root = parent[root]
-        while parent[node] != root:  # path compression
-            parent[node], node = root, parent[node]
-        return root
-
-    for src, dst in edges:
-        ra, rb = find(src), find(dst)
-        if ra != rb:
-            parent[rb] = ra
-    groups: Dict[UhbNode, List[UhbNode]] = {}
-    for node in nodes:
-        groups.setdefault(find(node), []).append(node)
-    return sorted((sorted(group) for group in groups.values()),
-                  key=lambda group: group[0])
-
-
-def _add_order_constraints(evaluator: ModelEvaluator,
-                           order_encoding: str = "components") -> int:
-    """Eager acyclicity: a strict partial order R over the µhb nodes
-    touched by edge variables; every asserted edge implies R.
-
-    ``order_encoding="components"`` restricts order variables and the
-    O(n^3) transitivity clauses to each weakly connected component of
-    the candidate-edge graph; ``"allpairs"`` is the seed's encoding over
-    every node pair.  Returns the number of components encoded.
+    An iterative Tarjan over sorted nodes and sorted successors, so the
+    result (and the variable numbering built on it) is deterministic.
     """
+    succ: Dict[UhbNode, List[UhbNode]] = {}
+    for src, dst in sorted(edges):
+        succ.setdefault(src, []).append(dst)
+        succ.setdefault(dst, [])
+    index: Dict[UhbNode, int] = {}
+    low: Dict[UhbNode, int] = {}
+    on_stack = set()
+    stack: List[UhbNode] = []
+    sccs: List[List[UhbNode]] = []
+    for root in sorted(succ):
+        if root in index:
+            continue
+        index[root] = low[root] = len(index)
+        stack.append(root)
+        on_stack.add(root)
+        work = [(root, iter(succ[root]))]
+        while work:
+            node, children = work[-1]
+            child = next(children, None)
+            if child is not None:
+                if child not in index:
+                    index[child] = low[child] = len(index)
+                    stack.append(child)
+                    on_stack.add(child)
+                    work.append((child, iter(succ[child])))
+                elif child in on_stack:
+                    low[node] = min(low[node], index[child])
+                continue
+            work.pop()
+            if work:
+                parent = work[-1][0]
+                low[parent] = min(low[parent], low[node])
+            if low[node] == index[node]:
+                members = []
+                while True:
+                    member = stack.pop()
+                    on_stack.discard(member)
+                    members.append(member)
+                    if member == node:
+                        break
+                if len(members) > 1:
+                    sccs.append(sorted(members))
+    return sorted(sccs)
+
+
+def _add_order_constraints(evaluator: ModelEvaluator) -> int:
+    """Eager acyclicity over the candidate edges: SCC-local reachability
+    (see the module docstring).  Edges between SCCs can never lie on a
+    cycle and get no clauses.  Returns the number of SCCs encoded (the
+    cyclic ones, with two or more nodes)."""
     cnf = evaluator.cnf
-    nodes = sorted({n for edge in evaluator.edge_vars for n in edge})
-    if order_encoding == "allpairs":
-        components = [nodes] if nodes else []
-    elif order_encoding == "components":
-        components = _weak_components(nodes, evaluator.edge_vars)
-    else:
-        raise CheckError(f"unknown order encoding {order_encoding!r}")
-    order: Dict[Tuple[UhbNode, UhbNode], int] = {}
-    for component in components:
-        for a in component:
-            for b in component:
+    sccs = _cyclic_sccs(evaluator.edge_vars)
+    for scc in sccs:
+        reach: Dict[UhbEdge, int] = {}
+        for a in scc:
+            for b in scc:
                 if a != b:
-                    order[(a, b)] = cnf.new_var()
-        # Antisymmetry (strictness).
-        for i, a in enumerate(component):
-            for b in component[i + 1:]:
-                cnf.add_clause([-order[(a, b)], -order[(b, a)]])
-        # Transitivity.
-        for a in component:
-            for b in component:
-                if a == b:
+                    reach[(a, b)] = cnf.new_var()
+        for b in scc:
+            for c in scc:
+                edge = evaluator.edge_vars.get((b, c))
+                if edge is None:
                     continue
-                ab = order[(a, b)]
-                for c in component:
-                    if c == a or c == b:
-                        continue
-                    cnf.add_clause([-ab, -order[(b, c)], order[(a, c)]])
-    # Edges imply order (src and dst always share a component).
-    for (src, dst), var in evaluator.edge_vars.items():
-        cnf.add_clause([-var, order[(src, dst)]])
-    return len(components)
+                cnf.add_clause([-edge, reach[(b, c)]])
+                cnf.add_clause([-edge, -reach[(c, b)]])
+                for a in scc:
+                    if a != b and a != c:
+                        cnf.add_clause(
+                            [-edge, -reach[(a, b)], reach[(a, c)]])
+    return len(sccs)
 
 
 def extract_witness(model: U.Model, evaluator: ModelEvaluator,
@@ -255,7 +268,6 @@ def extract_witness(model: U.Model, evaluator: ModelEvaluator,
 
 def solve_observability(model: U.Model, test: LitmusTest,
                         max_iterations: int = 100000,
-                        order_encoding: str = "components",
                         budget: Optional[Budget] = None,
                         clock: Optional[BudgetClock] = None,
                         sat_core: str = "arena"
@@ -293,7 +305,7 @@ def solve_observability(model: U.Model, test: LitmusTest,
         elapsed = time.perf_counter() - start
         stats.ground_seconds = elapsed
         return ObservabilityResult(False, None, 1, elapsed, stats=stats)
-    stats.order_components = _add_order_constraints(evaluator, order_encoding)
+    stats.order_components = _add_order_constraints(evaluator)
     stats.vars = evaluator.cnf.num_vars
     stats.clauses = len(evaluator.cnf.clauses)
     solver = make_solver(core=sat_core)

@@ -33,13 +33,38 @@ class TestSuiteDeterminism:
         assert _projection(fresh) == _projection(inc)
         assert suite_digest(fresh) == suite_digest(inc)
 
-    def test_component_vs_allpairs_identical(self, reference_model,
-                                             litmus_suite):
-        comp = Checker(reference_model, order_encoding="components") \
-            .check_suite(litmus_suite[:10])
-        allp = Checker(reference_model, order_encoding="allpairs") \
-            .check_suite(litmus_suite[:10])
-        assert _projection(comp) == _projection(allp)
+
+
+#: verdict digest of the 56-test suite on the reference model
+SUITE_DIGEST = \
+    "0d753e56fff26bf9cf9d3d467ab947fbdba7716cf2a0389cc665b3565223fb39"
+#: report digest of the default 230-program exhaustive sweep
+SWEEP_DIGEST = \
+    "3a5658e5e249a5edbed3736c0ffeaa06e11bae752a3dea7ce8cf25ecaee6850e"
+#: report digest of the first 40 programs of that sweep
+LIMITED_SWEEP_DIGEST = \
+    "d74bfd1779412410106c14fd9f3ede44d84b1de3373847a1226d6472c997662b"
+
+
+class TestPinnedDigests:
+    def test_suite_digest_pinned(self, reference_model, litmus_suite):
+        for engine in ("fresh", "incremental"):
+            verdicts = Checker(reference_model, engine=engine) \
+                .check_suite(litmus_suite)
+            assert suite_digest(verdicts) == SUITE_DIGEST, engine
+
+    def test_sweep_digest_pinned(self, reference_model):
+        report = verify_exactness(reference_model, engine="incremental")
+        assert report.programs == 230
+        assert report.exact
+        assert report.digest() == SWEEP_DIGEST
+
+    def test_limit40_digest_pinned(self, reference_model):
+        fresh = verify_exactness(reference_model, limit=40, engine="fresh")
+        inc = verify_exactness(reference_model, limit=40,
+                               engine="incremental")
+        assert fresh.programs == inc.programs == 40
+        assert fresh.digest() == inc.digest() == LIMITED_SWEEP_DIGEST
 
 
 class TestSweepDeterminism:

@@ -1,17 +1,15 @@
 """Unit tests for the observability solver's internals: cycle finding,
-the component-restricted order encoding, deterministic memory-location
-inference, and the unified iteration count."""
+deterministic memory-location inference, and the unified iteration
+count.  The order encoding has its own oracle tests in
+``test_check_order_encoding.py``."""
 
 import subprocess
 import sys
 from types import SimpleNamespace
 
-import pytest
-
 from repro.check.solver import (
     _find_cycle,
     _memory_location,
-    _weak_components,
     solve_observability,
 )
 from repro.litmus import LitmusTest, suite_by_name
@@ -66,74 +64,6 @@ class TestFindCycle:
         cycle = _find_cycle(edges)
         assert cycle is not None
         assert {edge[0] for edge in cycle} == {n(10), n(11)}
-
-
-class TestWeakComponents:
-    def test_disjoint_edges_split(self):
-        nodes = [n(1), n(2), n(3), n(4), n(5)]
-        edges = {(n(1), n(2)): 101, (n(3), n(4)): 102}
-        components = _weak_components(nodes, edges)
-        assert components == [[n(1), n(2)], [n(3), n(4)], [n(5)]]
-
-    def test_direction_is_ignored(self):
-        nodes = [n(1), n(2), n(3)]
-        edges = {(n(2), n(1)): 101, (n(3), n(2)): 102}
-        assert _weak_components(nodes, edges) == [[n(1), n(2), n(3)]]
-
-
-def po_only_model():
-    """Accesses are pipelined dec->ex and chained in per-core program
-    order; cores never connect, so the candidate-edge graph has one
-    weakly connected component per core."""
-    model = Model("po_only")
-    model.add_stage("dec")
-    model.add_stage("ex")
-    for pred, name in (("IsAnyWrite", "Path_w"), ("IsAnyRead", "Path_r")):
-        model.axioms.append(Axiom(name, Forall("i", Implies(
-            Pred(pred, ("i",)),
-            AddEdge(Node("i", "dec"), Node("i", "ex"), "path")))))
-    model.axioms.append(Axiom("PO", Forall("i1", Forall("i2", Implies(
-        Pred("SameCore", ("i1", "i2")),
-        Implies(Pred("ProgramOrder", ("i1", "i2")),
-                AddEdge(Node("i1", "dec"), Node("i2", "dec"), "PO")))))))
-    return model
-
-
-class TestOrderEncodings:
-    SUITE_NAMES = ("mp", "sb", "lb", "corr", "corw", "cowr", "2+2w",
-                   "iriw", "rwc", "wrc", "r", "s", "ssl", "mp+stale")
-
-    def test_component_and_allpairs_verdicts_agree(self):
-        model = sc_hand_model()
-        by_name = suite_by_name()
-        for name in self.SUITE_NAMES:
-            test = by_name[name]
-            comp = solve_observability(model, test,
-                                       order_encoding="components")
-            allp = solve_observability(model, test,
-                                       order_encoding="allpairs")
-            assert comp.observable == allp.observable, name
-
-    def test_components_encoding_is_smaller_when_graph_splits(self):
-        # Two cores touching different addresses under a PO-only model:
-        # no cross-core candidate edge exists.
-        program = ((W("x", 1), R("x", "r1")), (W("y", 1), R("y", "r2")))
-        test = LitmusTest("split", program, (((0, "r1"), 1), ((1, "r2"), 1)))
-        model = po_only_model()
-        comp = solve_observability(model, test, order_encoding="components")
-        allp = solve_observability(model, test, order_encoding="allpairs")
-        assert comp.observable == allp.observable
-        assert comp.stats.order_components == 2
-        assert allp.stats.order_components == 1
-        assert comp.stats.vars < allp.stats.vars
-        assert comp.stats.clauses < allp.stats.clauses
-
-    def test_unknown_encoding_raises_check_error(self):
-        from repro.errors import CheckError
-        model = sc_hand_model()
-        test = suite_by_name()["mp"]
-        with pytest.raises(CheckError):
-            solve_observability(model, test, order_encoding="bogus")
 
 
 class TestIterationsUnified:
