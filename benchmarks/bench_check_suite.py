@@ -1,16 +1,12 @@
-"""Check-layer scaling benchmark: serial -> incremental -> parallel.
+"""Check-layer scaling benchmark: fresh -> incremental -> parallel.
 
 Runs the exhaustive small-program sweep (and the 56-test litmus suite)
-through the engine trajectory this repo grew through:
+through both check engines:
 
 * ``fresh``                — fresh ground+encode+solve per condition,
   one process (the baseline every speedup is relative to);
 * ``incremental``          — one retained solver per program, conditions
-  decided as assumption flips, one ``solve_batch`` pass per program
-  (``incremental_seq`` is the same engine with batching disabled, for
-  the batching A/B);
-* ``incremental_arena``    — the batched engine on the packed-arena
-  CDCL core (the shipped default);
+  decided as assumption flips, one ``solve_batch`` pass per program;
 * ``incremental_parallel`` — the incremental engine across ``--jobs``
   worker processes.
 
@@ -20,9 +16,11 @@ single-condition tests).
 
 Every stage must produce the identical report (asserted); timings and
 speedups land in ``BENCH_check.json``.  The record's ``before`` section
-(the run frozen before the SCC-local acyclicity encoding, including the
-41.9 s all-pairs seed sweep) is carried over unchanged when the file is
-rewritten.
+(earlier runs, nested: the last one that still timed the unbatched
+``incremental-seq`` engine and the per-clause-object SAT core, and
+inside it the run frozen before the SCC-local acyclicity encoding,
+including the 41.9 s all-pairs seed sweep) is carried over unchanged
+when the file is rewritten.
 
 With ``--serve STATE_DIR`` the same workloads run against an already
 running ``repro serve`` fleet instead of in-process: ``bench`` jobs
@@ -54,18 +52,16 @@ def _sweep_signature(report):
             tuple(report.unsound), tuple(report.overstrict))
 
 
-def run_sweep_stage(model, name, limit, jobs, engine, sat_core="object"):
+def run_sweep_stage(model, name, limit, jobs, engine):
     from repro.check import verify_exactness
 
     start = time.perf_counter()
-    report = verify_exactness(model, limit=limit, jobs=jobs, engine=engine,
-                              sat_core=sat_core)
+    report = verify_exactness(model, limit=limit, jobs=jobs, engine=engine)
     elapsed = time.perf_counter() - start
     print(f"  {name:<22} {elapsed:8.2f}s  {report.summary()}")
     return {
         "name": name,
         "engine": engine,
-        "sat_core": sat_core,
         "jobs": jobs,
         "seconds": round(elapsed, 3),
         "programs": report.programs,
@@ -74,11 +70,11 @@ def run_sweep_stage(model, name, limit, jobs, engine, sat_core="object"):
     }, _sweep_signature(report)
 
 
-def run_suite_stage(model, tests, name, jobs, engine, sat_core="object"):
+def run_suite_stage(model, tests, name, jobs, engine):
     from repro.check import Checker, suite_digest
 
     start = time.perf_counter()
-    checker = Checker(model, engine=engine, sat_core=sat_core)
+    checker = Checker(model, engine=engine)
     verdicts = checker.check_suite(tests, jobs=jobs)
     elapsed = time.perf_counter() - start
     failures = sum(0 if v.passed else 1 for v in verdicts)
@@ -88,7 +84,6 @@ def run_suite_stage(model, tests, name, jobs, engine, sat_core="object"):
         "name": name,
         "engine": engine,
         "engine_used": checker.engine_used,
-        "sat_core": sat_core,
         "jobs": jobs,
         "seconds": round(elapsed, 3),
         "tests": len(verdicts),
@@ -237,8 +232,7 @@ def main(argv=None):
     suite_stages = [
         run_suite_stage(model, tests, "fresh", 1, "fresh"),
         run_suite_stage(model, tests, "incremental", 1, "incremental"),
-        run_suite_stage(model, tests, "auto_arena", 1, "auto",
-                        sat_core="arena"),
+        run_suite_stage(model, tests, "auto", 1, "auto"),
     ]
     if parallel_skipped is None:
         suite_stages.append(
@@ -249,19 +243,16 @@ def main(argv=None):
     scope = f"limit={limit}" if limit else "all canonical 2x2 programs"
     print(f"exhaustive sweep ({scope}):")
     sweep_plan = [
-        ("fresh", 1, "fresh", "object"),
-        ("incremental_seq", 1, "incremental-seq", "object"),
-        ("incremental", 1, "incremental", "object"),
-        ("incremental_arena", 1, "incremental", "arena"),
+        ("fresh", 1, "fresh"),
+        ("incremental", 1, "incremental"),
     ]
     if parallel_skipped is None:
         sweep_plan.append(
-            ("incremental_parallel", args.jobs, "incremental", "arena"))
+            ("incremental_parallel", args.jobs, "incremental"))
     sweep_stages = []
     signatures = set()
-    for name, jobs, engine, sat_core in sweep_plan:
-        stage, signature = run_sweep_stage(model, name, limit, jobs, engine,
-                                           sat_core=sat_core)
+    for name, jobs, engine in sweep_plan:
+        stage, signature = run_sweep_stage(model, name, limit, jobs, engine)
         sweep_stages.append(stage)
         signatures.add(signature)
     assert len(signatures) == 1, "sweep reports diverged across stages"
@@ -271,18 +262,13 @@ def main(argv=None):
         stage["speedup_vs_fresh"] = round(baseline / stage["seconds"], 2) \
             if stage["seconds"] else None
     best = max(stage["speedup_vs_fresh"] for stage in sweep_stages[1:])
-    by_name = {stage["name"]: stage for stage in sweep_stages}
-    seq_seconds = by_name["incremental_seq"]["seconds"]
-    batch_seconds = by_name["incremental"]["seconds"]
-    batch_speedup = round(seq_seconds / batch_seconds, 2) \
-        if batch_seconds else None
 
     before = None
     if os.path.exists(args.output):
         with open(args.output, "r", encoding="utf-8") as handle:
             before = json.load(handle).get("before")
     record = {
-        "schema": "repro-bench-check/4",
+        "schema": "repro-bench-check/5",
         "scope": scope,
         "cpu_count": cpus,
         "parallel_skipped": parallel_skipped,
@@ -291,15 +277,13 @@ def main(argv=None):
         "suite": suite_stages,
         "sweep": sweep_stages,
         "best_sweep_speedup_vs_fresh": best,
-        "batch_speedup_vs_sequential": batch_speedup,
         "before": before,
     }
     with open(args.output, "w", encoding="utf-8") as handle:
         json.dump(record, handle, indent=2, sort_keys=True)
         handle.write("\n")
     print(f"\nbest sweep speedup vs fresh: {best:.2f}x "
-          f"(target >= 2x); batched vs sequential incremental: "
-          f"{batch_speedup}x — record in {args.output}")
+          f"(target >= 2x) — record in {args.output}")
     return 0 if best >= 2.0 else 1
 
 

@@ -1,25 +1,24 @@
-"""Formal-engine scaling benchmark: the seed -> PR-4 trajectory.
+"""Formal-engine benchmark: the shipped engine on the SVA corpus.
 
 Runs the multi-V-scale SVA corpus end to end (``synthesize_uspec``)
-through the formal-layer configurations this repo grew through:
+on the shipped formal engine (one retained packed-arena CDCL solver per
+SVA, frame-by-frame BMC, monotone k-escalation, shared bitblast):
 
-* ``seed_oneshot``     — fresh CNF + fresh solver per BMC/induction
-  query, linear O(num_vars) branch scan, no blast sharing (the seed's
-  code path);
-* ``shared_bitblast``  — one-shot queries behind the keyed
-  :class:`BlastCache` (pays off on repeat checks; within a cold pass
-  each SVA's monitor netlist is unique, so expect parity here);
-* ``incremental``      — ONE retained solver per SVA: frame-by-frame
-  BMC decided via assumption selectors, monotone k-escalation;
-* ``incremental_heap`` — retained solvers served by the indexed VSIDS
-  max-heap (PR 4's shipped default, object-core clauses);
-* ``incremental_arena`` — the shipped default: the packed-arena CDCL
-  core (clauses flattened into one literal arena, flat-array
-  watchlists) on a bit-identical decision/conflict trajectory.
+* ``incremental_arena`` — serial discharge;
+* ``arena_parallel``    — the same at ``--jobs N`` (skipped on a
+  1-CPU host);
+* ``arena_portfolio``   — three diversified solver configs raced per
+  property;
+* ``compose_serial`` / ``compose_parallel`` — hierarchical
+  compositional synthesis.
 
-Every stage must produce the identical per-SVA verdict digest and
-byte-identical ``.uarch`` text (asserted), and the engines are also
-cross-checked at ``--jobs N``; timings land in ``BENCH_synth.json``.
+Every monolithic row must produce the identical per-SVA verdict digest
+and byte-identical ``.uarch`` text, and the compose rows the same
+``.uarch`` and verdict trichotomy (asserted); timings land in
+``BENCH_synth.json``.  The record's ``before`` section (the last run
+that still timed the retired one-shot engine, ``scan`` branch order
+and per-clause-object SAT core, including the 168 s seed row) is
+carried over unchanged when the file is rewritten.
 
 Standalone (not a pytest-benchmark module)::
 
@@ -54,16 +53,12 @@ def verdict_digest(result) -> str:
     return hasher.hexdigest()
 
 
-def run_stage(name, engine, share_bitblast, sat_order, jobs, candidates,
-              compose=False, sat_core="object", portfolio=1):
+def run_stage(name, jobs, candidates, compose=False, portfolio=1):
     from repro import synthesize_uspec
     from repro.formal import PropertyChecker
     from repro.uspec import format_model
 
-    checker = PropertyChecker(bound=12, max_k=2, engine=engine,
-                              share_bitblast=share_bitblast,
-                              sat_order=sat_order, sat_core=sat_core,
-                              portfolio=portfolio)
+    checker = PropertyChecker(bound=12, max_k=2, portfolio=portfolio)
     start = time.perf_counter()
     result = synthesize_uspec(checker=checker, jobs=jobs,
                               candidate_filter=candidates, compose=compose)
@@ -77,10 +72,6 @@ def run_stage(name, engine, share_bitblast, sat_order, jobs, candidates,
           (f", {discharge.fingerprint_dedup} deduped" if compose else ""))
     return {
         "name": name,
-        "engine": engine,
-        "share_bitblast": share_bitblast,
-        "sat_order": sat_order,
-        "sat_core": sat_core,
         "portfolio": portfolio,
         "jobs": jobs,
         "compose": compose,
@@ -113,24 +104,15 @@ def main(argv=None):
     parser.add_argument("--output", default="BENCH_synth.json",
                         help="where to write the JSON record")
     parser.add_argument("--skip-parallel", action="store_true",
-                        help="skip the --jobs parity runs (serial-only "
-                             "trajectory)")
+                        help="skip the --jobs parity runs (serial only)")
     args = parser.parse_args(argv)
     candidates = QUICK_CANDIDATES if args.quick else None
     scope = "quick (CI smoke candidates)" if args.quick \
         else "full multi-V-scale SVA corpus"
     cpus = os.cpu_count() or 1
 
-    print(f"engine trajectory ({scope}, serial):")
-    stages = [
-        run_stage("seed_oneshot", "oneshot", False, "scan", 1, candidates),
-        run_stage("shared_bitblast", "oneshot", True, "scan", 1, candidates),
-        run_stage("incremental", "incremental", True, "scan", 1, candidates),
-        run_stage("incremental_heap", "incremental", True, "heap", 1,
-                  candidates),
-        run_stage("incremental_arena", "incremental", True, "heap", 1,
-                  candidates, sat_core="arena"),
-    ]
+    print(f"shipped engine ({scope}, serial):")
+    stages = [run_stage("incremental_arena", 1, candidates)]
 
     # jobs>1 wall clock on a single-CPU box measures scheduling overhead,
     # not parallel speedup; the rows would read as a regression (ROADMAP
@@ -144,31 +126,24 @@ def main(argv=None):
         print(f"skipping --jobs {args.jobs} parity rows: {parallel_skipped}")
     parity = []
     if parallel_skipped is None:
-        print(f"engine x jobs parity (--jobs {args.jobs}):")
+        print(f"jobs and portfolio parity (--jobs {args.jobs}):")
         parity = [
-            run_stage("oneshot_parallel", "oneshot", True, "heap",
-                      args.jobs, candidates),
-            run_stage("incremental_parallel", "incremental", True, "heap",
-                      args.jobs, candidates),
-            run_stage("arena_parallel", "incremental", True, "heap",
-                      args.jobs, candidates, sat_core="arena"),
+            run_stage("arena_parallel", args.jobs, candidates),
             # Portfolio racing is held to the same strict per-verdict
             # digest: statuses, methods, bounds, and induction depths
             # are formula-determined, so the winning config cannot
             # change them — only REFUTED traces (unhashed) may differ.
-            run_stage("arena_portfolio", "incremental", True, "heap", 1,
-                      candidates, sat_core="arena", portfolio=3),
+            run_stage("arena_portfolio", 1, candidates, portfolio=3),
         ]
 
     print("compose vs monolithic (hierarchical compositional synthesis):")
     compose_rows = [
-        run_stage("compose_serial", "incremental", True, "heap", 1,
-                  candidates, compose=True),
+        run_stage("compose_serial", 1, candidates, compose=True),
     ]
     if parallel_skipped is None:
         compose_rows.append(
-            run_stage("compose_parallel", "incremental", True, "heap",
-                      args.jobs, candidates, compose=True))
+            run_stage("compose_parallel", args.jobs, candidates,
+                      compose=True))
 
     every = stages + parity
     verdict_digests = {stage["verdict_digest"] for stage in every}
@@ -189,18 +164,12 @@ def main(argv=None):
         assert row["fingerprint_dedup"] > 0, \
             "compose mode deduplicated no isomorphic problems"
 
-    baseline = stages[0]["seconds"]
-    for stage in every + compose_rows:
-        stage["speedup_vs_seed"] = round(baseline / stage["seconds"], 2) \
-            if stage["seconds"] else None
-    shipped = stages[-1]["speedup_vs_seed"]
-    by_name = {stage["name"]: stage for stage in stages}
-    heap_sat = by_name["incremental_heap"]["sat_seconds"]
-    arena_sat = by_name["incremental_arena"]["sat_seconds"]
-    arena_sat_speedup = round(heap_sat / arena_sat, 2) if arena_sat else None
-
+    before = None
+    if os.path.exists(args.output):
+        with open(args.output, "r", encoding="utf-8") as handle:
+            before = json.load(handle).get("before")
     record = {
-        "schema": "repro-bench-synth/3",
+        "schema": "repro-bench-synth/4",
         "scope": scope,
         "cpu_count": cpus,
         "parallel_skipped": parallel_skipped,
@@ -211,16 +180,15 @@ def main(argv=None):
         "compose": compose_rows,
         "verdict_digest": verdict_digests.pop(),
         "uarch_sha256": uarch_digests.pop(),
-        "incremental_speedup_vs_seed": shipped,
-        "arena_sat_speedup_vs_object": arena_sat_speedup,
+        "before": before,
     }
     with open(args.output, "w", encoding="utf-8") as handle:
         json.dump(record, handle, indent=2, sort_keys=True)
         handle.write("\n")
-    print(f"\nincremental+arena speedup vs seed one-shot: {shipped:.2f}x "
-          f"(target >= 2x); arena sat_seconds vs object core: "
-          f"{arena_sat_speedup}x — record in {args.output}")
-    return 0 if shipped >= 2.0 else 1
+    print(f"\nserial {stages[0]['seconds']:.2f}s, digests agree across "
+          f"{len(every) + len(compose_rows)} row(s) — record in "
+          f"{args.output}")
+    return 0
 
 
 if __name__ == "__main__":

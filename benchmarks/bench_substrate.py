@@ -9,7 +9,7 @@ import pytest
 from repro.designs import FORMAL_CONFIG, LW_SW_ENCODINGS, SIM_CONFIG, isa, load_design, multi_vscale_metadata
 from repro.designs.harness import MultiVScaleSim
 from repro.formal import PropertyChecker, bitblast
-from repro.sat import Cnf, Solver, solve_cnf
+from repro.sat import ArenaSolver, Cnf, solve_cnf
 from repro.sva import EventSpec, InstrSpec, SvaFactory
 
 
@@ -32,7 +32,7 @@ def test_sat_pigeonhole6(benchmark):
     cnf = _php(6)
 
     def fresh_run():
-        solver = Solver()
+        solver = ArenaSolver()
         solver.add_cnf(cnf)
         return solver.solve()
 

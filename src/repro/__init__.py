@@ -60,7 +60,6 @@ def synthesize_uspec(sim_config: DesignConfig = SIM_CONFIG,
                      jobs: int = 1,
                      journal=None,
                      check_timeout: Optional[float] = None,
-                     engine: str = "incremental",
                      compose: bool = False) -> SynthesisResult:
     """One-call rtl2uspec run on the bundled multi-V-scale.
 
@@ -73,9 +72,6 @@ def synthesize_uspec(sim_config: DesignConfig = SIM_CONFIG,
     ``journal`` (a :class:`repro.formal.VerdictJournal`) checkpoints
     verdicts for crash/Ctrl-C resume; ``check_timeout`` caps each SVA's
     wall clock (exhaustion degrades to a conservative UNKNOWN).
-    ``engine`` selects the formal execution strategy for the default
-    checker ("incremental" retained-solver vs the historical "oneshot"
-    A/B path); both produce identical verdicts and models.
     ``compose`` switches property discharge to hierarchical
     compositional synthesis (per-module obligation graphs with
     assume-guarantee interfaces and module-granularity caching); the
@@ -92,7 +88,7 @@ def synthesize_uspec(sim_config: DesignConfig = SIM_CONFIG,
                    checker=checker, candidate_filter=candidate_filter,
                    jobs=jobs, journal=journal,
                    check_timeout=check_timeout,
-                   engine=engine, hier=hier,
+                   hier=hier,
                    compose=compose) as synthesizer:
         return synthesizer.synthesize()
 

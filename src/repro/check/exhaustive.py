@@ -172,7 +172,7 @@ def _program_conditions(program: Program,
 
 
 #: engines verify_exactness accepts; ``auto`` resolves per workload
-SWEEP_ENGINES = ("auto", "fresh", "incremental", "incremental-seq")
+SWEEP_ENGINES = ("auto", "fresh", "incremental")
 
 
 def resolve_sweep_engine(engine: str) -> str:
@@ -186,8 +186,7 @@ def resolve_sweep_engine(engine: str) -> str:
 
 def _check_program(model, program: Program,
                    include_final_memory: bool, engine: str,
-                   budget: Optional[Budget] = None,
-                   sat_core: str = "arena") -> ProgramResult:
+                   budget: Optional[Budget] = None) -> ProgramResult:
     """Sweep every condition of one program; returns
     (outcomes_checked, unsound, overstrict, undecided).  The budget is
     per *condition*; an expired solve lands in ``undecided`` rather
@@ -200,16 +199,15 @@ def _check_program(model, program: Program,
     overstrict: List[Tuple[str, Tuple]] = []
     undecided: List[Tuple[str, Tuple]] = []
     instance = None
-    if engine in ("incremental", "incremental-seq") and conditions:
+    if engine == "incremental" and conditions:
         from .incremental import ProgramSolver
         instance = ProgramSolver(
-            model, LitmusTest("sweep", program, conditions[0]),
-            sat_core=sat_core)
+            model, LitmusTest("sweep", program, conditions[0]))
     # One solve_batch call decides every condition sharing the common
     # assumption prefix; budgeted runs need a per-condition clock, so
-    # they (and the incremental-seq A/B engine) stay sequential.
+    # they stay sequential.
     batch = None
-    if instance is not None and budget is None and engine == "incremental":
+    if instance is not None and budget is None:
         batch = instance.decide_batch(conditions)
     for index, condition in enumerate(conditions):
         test = LitmusTest("sweep", program, condition)
@@ -221,8 +219,7 @@ def _check_program(model, program: Program,
             if instance is not None:
                 result = instance.decide(condition, clock=clock)
             else:
-                result = solve_observability(
-                    model, test, clock=clock, sat_core=sat_core)
+                result = solve_observability(model, test, clock=clock)
         checked += 1
         if not result.decided:
             undecided.append((test.format(), condition))
@@ -290,8 +287,8 @@ def verify_exactness(model, max_threads: int = 2, max_len: int = 2,
                      fault_plan=None,
                      journal_path: Optional[str] = None,
                      resume: bool = False,
-                     programs: Optional[Sequence[Program]] = None,
-                     sat_core: str = "arena") -> ExactnessReport:
+                     programs: Optional[Sequence[Program]] = None
+                     ) -> ExactnessReport:
     """Sweep all bounded programs/outcomes; compare the model against SC.
 
     ``limit`` bounds the number of programs (for incremental runs; 0 or
@@ -316,4 +313,4 @@ def verify_exactness(model, max_threads: int = 2, max_len: int = 2,
                      include_final_memory=include_final_memory,
                      limit=limit, jobs=jobs, engine=engine, budget=budget,
                      fault_plan=fault_plan, journal_path=journal_path,
-                     resume=resume, programs=programs, sat_core=sat_core)
+                     resume=resume, programs=programs)

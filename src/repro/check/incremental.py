@@ -35,7 +35,7 @@ from typing import Dict, Iterable, List, Optional, Tuple
 from ..litmus import LitmusTest
 from ..resilience import DECIDED, TIMEOUT, BudgetClock
 from ..resilience import UNKNOWN as _UNDECIDED
-from ..sat import SAT, UNSAT, Cnf, make_solver
+from ..sat import SAT, UNSAT, ArenaSolver, Cnf
 from ..uspec import ast as U
 from .evaluator import ModelEvaluator, _Unsatisfiable
 from .instance import GroundContext, Microop
@@ -150,12 +150,10 @@ class ProgramSolver:
     the program.
     """
 
-    def __init__(self, model: U.Model, test: LitmusTest,
-                 sat_core: str = "arena"):
+    def __init__(self, model: U.Model, test: LitmusTest):
         start = time.perf_counter()
         self.model = model
         self.test = test
-        self.sat_core = sat_core
         self.cnf = Cnf()
         self.ctx = SymbolicContext(test, self.cnf)
         self.evaluator = ModelEvaluator(model, self.ctx, cnf=self.cnf)
@@ -175,7 +173,7 @@ class ProgramSolver:
             self._encode_final_memory()
             self.stats.order_components = _add_order_constraints(
                 self.evaluator)
-            self.solver = make_solver(core=sat_core)
+            self.solver = ArenaSolver()
             self.solver.add_cnf(self.cnf)
         self.stats.vars = self.cnf.num_vars
         self.stats.clauses = len(self.cnf.clauses)
@@ -215,7 +213,7 @@ class ProgramSolver:
         return solve_observability(
             self.model,
             LitmusTest(self.test.name, self.test.program, tuple(condition)),
-            clock=clock, sat_core=self.sat_core)
+            clock=clock)
 
     # Plan kinds: how one condition will be decided.
     _FALLBACK = "fallback"   # route to the fresh per-condition path

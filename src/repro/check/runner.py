@@ -77,8 +77,7 @@ def run_suite(model: Model, tests: Iterable[LitmusTest], *,
               budget: Optional[Budget] = None,
               journal_path: Optional[str] = None,
               resume: bool = False,
-              fault_plan: Optional[FaultPlan] = None,
-              sat_core: str = "arena") -> SuiteRunResult:
+              fault_plan: Optional[FaultPlan] = None) -> SuiteRunResult:
     """Check a litmus suite crash-safely; see the module docstring.
 
     Raises :class:`InterruptedRun` (partial verdicts attached, journal
@@ -87,7 +86,7 @@ def run_suite(model: Model, tests: Iterable[LitmusTest], *,
     """
     tests = list(tests)
     checker = Checker(model, keep_graphs=keep_graphs, engine=engine,
-                      budget=budget, sat_core=sat_core)
+                      budget=budget)
     result = SuiteRunResult(verdicts=[], journal_path=journal_path,
                             engine_used=checker.engine_used)
     journal = None
@@ -141,8 +140,7 @@ def _sweep_one_worker(payload) -> ProgramResult:
     state = worker_state()
     program, include_final_memory = payload
     return _check_program(state["model"], program, include_final_memory,
-                          state["engine"], budget=state.get("budget"),
-                          sat_core=state.get("sat_core", "arena"))
+                          state["engine"], budget=state.get("budget"))
 
 
 def _valid_program_result(result) -> bool:
@@ -161,8 +159,8 @@ def run_sweep(model: Model, *, max_threads: int = 2, max_len: int = 2,
               resume: bool = False,
               fault_plan: Optional[FaultPlan] = None,
               pool_stats: Optional[PoolStats] = None,
-              programs: Optional[Sequence[Program]] = None,
-              sat_core: str = "arena") -> ExactnessReport:
+              programs: Optional[Sequence[Program]] = None
+              ) -> ExactnessReport:
     """Exhaustive sweep with program-granular journaling and resume.
 
     Raises :class:`InterruptedRun` (partial report attached, journal
@@ -217,11 +215,9 @@ def run_sweep(model: Model, *, max_threads: int = 2, max_len: int = 2,
             [(programs[index], include_final_memory) for index in pending],
             _sweep_one_worker,
             lambda payload: _check_program(model, payload[0], payload[1],
-                                           engine, budget=budget,
-                                           sat_core=sat_core),
+                                           engine, budget=budget),
             jobs,
-            state={"model": model, "engine": engine, "budget": budget,
-                   "sat_core": sat_core},
+            state={"model": model, "engine": engine, "budget": budget},
             fault_plan=fault_plan,
             validate=_valid_program_result,
             on_result=on_result,

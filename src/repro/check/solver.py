@@ -26,7 +26,7 @@ from typing import Dict, Iterable, List, Optional, Tuple
 from ..errors import CheckError
 from ..litmus import LitmusTest
 from ..resilience import DECIDED, TIMEOUT, Budget, BudgetClock
-from ..sat import SAT, UNSAT, make_solver
+from ..sat import SAT, UNSAT, ArenaSolver
 from ..uspec import ast as U
 from .evaluator import ModelEvaluator, UhbEdge, UhbNode, _Unsatisfiable
 from .instance import GroundContext
@@ -269,8 +269,7 @@ def extract_witness(model: U.Model, evaluator: ModelEvaluator,
 def solve_observability(model: U.Model, test: LitmusTest,
                         max_iterations: int = 100000,
                         budget: Optional[Budget] = None,
-                        clock: Optional[BudgetClock] = None,
-                        sat_core: str = "arena"
+                        clock: Optional[BudgetClock] = None
                         ) -> ObservabilityResult:
     """Decide whether the test's outcome is observable under the model.
 
@@ -308,7 +307,7 @@ def solve_observability(model: U.Model, test: LitmusTest,
     stats.order_components = _add_order_constraints(evaluator)
     stats.vars = evaluator.cnf.num_vars
     stats.clauses = len(evaluator.cnf.clauses)
-    solver = make_solver(core=sat_core)
+    solver = ArenaSolver()
     solver.add_cnf(evaluator.cnf)
     stats.ground_seconds = time.perf_counter() - start
     solve_start = time.perf_counter()

@@ -44,7 +44,7 @@ from ..resilience import (
 from ..uspec import Model
 from .solver import ObservabilityResult, UhbGraph, solve_observability
 
-ENGINES = ("auto", "fresh", "incremental", "incremental-seq")
+ENGINES = ("auto", "fresh", "incremental")
 
 
 def resolve_suite_engine(engine: str) -> str:
@@ -52,14 +52,8 @@ def resolve_suite_engine(engine: str) -> str:
     single condition, so the incremental engine's symbolic grounding is
     pure overhead here (measured 0.30 s vs fresh 0.21 s on the 56-test
     suite, warm process, 2-vCPU x86-64 VM, Python 3.11; the sweep's
-    auto resolves the other way).  ``incremental-seq`` is a
-    sweep-only A/B distinction — for single-condition tests it is the
-    incremental engine."""
-    if engine == "auto":
-        return "fresh"
-    if engine == "incremental-seq":
-        return "incremental"
-    return engine
+    auto resolves the other way)."""
+    return "fresh" if engine == "auto" else engine
 
 
 @dataclass
@@ -122,8 +116,7 @@ def _check_one_worker(test: LitmusTest) -> TestVerdict:
         checker = Checker(state["model"],
                           keep_graphs=state["keep_graphs"],
                           engine=state["engine"],
-                          budget=state.get("budget"),
-                          sat_core=state.get("sat_core", "arena"))
+                          budget=state.get("budget"))
         state["checker"] = checker
     return checker.check_test(test)
 
@@ -132,8 +125,7 @@ class Checker:
     """Verifies litmus tests against one synthesized µspec model."""
 
     def __init__(self, model: Model, keep_graphs: bool = False,
-                 engine: str = "fresh", budget: Optional[Budget] = None,
-                 sat_core: str = "arena"):
+                 engine: str = "fresh", budget: Optional[Budget] = None):
         if engine not in ENGINES:
             from ..errors import CheckError
             raise CheckError(f"unknown check engine {engine!r} "
@@ -144,22 +136,20 @@ class Checker:
         #: what actually runs (``auto`` resolved); recorded in reports
         self.engine_used = resolve_suite_engine(engine)
         self.budget = budget
-        self.sat_core = sat_core
 
     def check_outcome(self, test: LitmusTest) -> ObservabilityResult:
         """Raw observability of the test's final condition."""
         clock = self.budget.start() if self.budget else None
         if self.engine_used == "incremental":
             from .incremental import ProgramSolver
-            instance = ProgramSolver(self.model, test, sat_core=self.sat_core)
+            instance = ProgramSolver(self.model, test)
             result = instance.decide(test.final,
                                      keep_graph=self.keep_graphs,
                                      clock=clock)
             if instance.solver is not None:
                 instance.stats.absorb_solver(instance.solver)
             return result
-        return solve_observability(self.model, test, clock=clock,
-                                   sat_core=self.sat_core)
+        return solve_observability(self.model, test, clock=clock)
 
     def check_test(self, test: LitmusTest) -> TestVerdict:
         start = time.perf_counter()
@@ -208,8 +198,7 @@ class Checker:
             tests, _check_one_worker, self.check_test, jobs,
             state={"model": self.model, "keep_graphs": self.keep_graphs,
                    "engine": self.engine,
-                   "budget": self.budget,
-                   "sat_core": self.sat_core},
+                   "budget": self.budget},
             fault_plan=fault_plan,
             validate=lambda verdict: isinstance(verdict, TestVerdict),
             on_result=on_result,
@@ -302,7 +291,7 @@ def suite_report_json(verdicts: Sequence[TestVerdict], model: str = "",
                       engine: str = "", jobs: int = 1,
                       deterministic: bool = False,
                       quarantined_records: int = 0,
-                      engine_used: str = "", sat_core: str = "",
+                      engine_used: str = "",
                       profile_sat: bool = False) -> Dict:
     """The ``--report-json`` artifact: verdicts + per-test stats.
 
@@ -317,11 +306,10 @@ def suite_report_json(verdicts: Sequence[TestVerdict], model: str = "",
     SAT counters (run-dependent — suppressed in deterministic mode).
     """
     report = {
-        "schema": "repro-check-suite/3",
+        "schema": "repro-check-suite/4",
         "model": model,
         "engine": engine,
         "engine_used": engine_used or engine,
-        "sat_core": sat_core,
         "digest": suite_digest(verdicts),
         "failures": sum(1 if v.failed else 0 for v in verdicts),
         "undecided": sum(0 if v.decided else 1 for v in verdicts),

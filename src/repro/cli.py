@@ -129,8 +129,6 @@ def _cmd_synth(args: argparse.Namespace) -> int:
     from .uspec import format_model
 
     engine_checker = PropertyChecker(bound=args.bound, max_k=args.max_k,
-                                     engine=args.engine,
-                                     sat_core=args.sat_core,
                                      portfolio=args.portfolio)
     checker = engine_checker
     cache = None
@@ -181,7 +179,6 @@ def _cmd_synth(args: argparse.Namespace) -> int:
                                "sat_conflicts", "sat_decisions",
                                "sat_reductions", "arena_bytes")}
         profile["sat_seconds"] = round(engine_stats.get("sat_time", 0.0), 3)
-        profile["sat_core"] = args.sat_core
         for key in sorted(engine_stats):
             if key.startswith("portfolio_"):
                 profile[key] = int(engine_stats[key])
@@ -220,8 +217,7 @@ def _cmd_check(args: argparse.Namespace) -> int:
                         budget=_check_budget(args.timeout),
                         journal_path=args.journal or None,
                         resume=args.resume,
-                        fault_plan=_fault_plan(args.inject_faults),
-                        sat_core=args.sat_core)
+                        fault_plan=_fault_plan(args.inject_faults))
     except InterruptedRun as exc:
         if exc.partial:
             print(format_suite_report(exc.partial))
@@ -251,7 +247,6 @@ def _cmd_check(args: argparse.Namespace) -> int:
                                    engine=args.engine, jobs=args.jobs,
                                    quarantined_records=run.quarantined_records,
                                    engine_used=run.engine_used,
-                                   sat_core=args.sat_core,
                                    profile_sat=args.profile_sat)
         with open(args.report_json, "w", encoding="utf-8") as handle:
             json.dump(report, handle, indent=2, sort_keys=True)
@@ -306,10 +301,9 @@ def _sweep_report_json(report, args) -> None:
 
     from .check import resolve_sweep_engine
     payload = {
-        "schema": "repro-check-sweep/3",
+        "schema": "repro-check-sweep/4",
         "engine": args.engine,
         "engine_used": resolve_sweep_engine(args.engine),
-        "sat_core": args.sat_core,
         "jobs": args.jobs,
         "digest": report.digest(),
         "programs": report.programs,
@@ -365,8 +359,7 @@ def _run_generated_sweep(model, args, signal_state, resume_hint):
                 model, programs=chunk, jobs=args.jobs, engine=args.engine,
                 budget=_check_budget(args.timeout),
                 journal_path=args.journal or None, resume=resume,
-                fault_plan=_fault_plan(args.inject_faults),
-                sat_core=args.sat_core)
+                fault_plan=_fault_plan(args.inject_faults))
         except InterruptedRun as exc:
             report = exc.partial
             interrupted = exc
@@ -407,8 +400,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
                 jobs=args.jobs, engine=args.engine,
                 budget=_check_budget(args.timeout),
                 journal_path=args.journal or None, resume=args.resume,
-                fault_plan=_fault_plan(args.inject_faults),
-                sat_core=args.sat_core)
+                fault_plan=_fault_plan(args.inject_faults))
         except InterruptedRun as exc:
             print(exc.partial.summary())
             _print_interrupt(exc, resume_hint)
@@ -781,21 +773,6 @@ def main(argv: Optional[List[str]] = None) -> int:
                               "conservative UNKNOWN verdict)")
     p_synth.add_argument("-j", "--jobs", type=int, default=0,
                          help=JOBS_HELP)
-    p_synth.add_argument("--engine", choices=("incremental", "oneshot"),
-                         default="incremental",
-                         help="formal execution strategy: 'incremental' "
-                              "retains one solver per SVA across BMC frames "
-                              "and induction depths; 'oneshot' is the "
-                              "historical fresh-solver path kept for A/B "
-                              "runs (verdicts and the emitted model are "
-                              "identical)")
-    p_synth.add_argument("--sat-core", choices=("arena", "object"),
-                         default="arena",
-                         help="CDCL clause representation: 'arena' packs "
-                              "clauses into one flat literal arena; "
-                              "'object' is the historical per-clause-list "
-                              "core (decision/conflict trajectories are "
-                              "bit-identical)")
     p_synth.add_argument("--portfolio", type=int, default=1,
                          help="race N diversified solver configs per "
                               "property via worker processes; first "
@@ -816,8 +793,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     p_check.add_argument("-j", "--jobs", type=int, default=1,
                          help=JOBS_HELP)
     p_check.add_argument("--engine",
-                         choices=("auto", "fresh", "incremental",
-                                  "incremental-seq"),
+                         choices=("auto", "fresh", "incremental"),
                          default="auto",
                          help="solving engine: 'fresh' grounds each test "
                               "from scratch, 'incremental' reuses one "
@@ -825,10 +801,6 @@ def main(argv: Optional[List[str]] = None) -> int:
                               "the measured-fastest for the workload "
                               "(fresh for single-condition suites); "
                               "verdict-identical either way")
-    p_check.add_argument("--sat-core", choices=("arena", "object"),
-                         default="arena",
-                         help="CDCL clause representation (A/B flag; "
-                              "verdicts identical)")
     p_check.add_argument("--profile-sat", action="store_true",
                          help="aggregate per-test SAT counters into the "
                               "report (stdout + --report-json)")
@@ -913,19 +885,13 @@ def main(argv: Optional[List[str]] = None) -> int:
     p_sweep.add_argument("-j", "--jobs", type=int, default=1,
                          help=JOBS_HELP)
     p_sweep.add_argument("--engine",
-                         choices=("auto", "fresh", "incremental",
-                                  "incremental-seq"),
+                         choices=("auto", "fresh", "incremental"),
                          default="incremental",
                          help="per-program decision procedure: "
                               "incremental amortizes grounding across a "
                               "program's conditions and batches its "
-                              "solves ('incremental-seq' disables the "
-                              "batching for A/B runs; 'auto' = "
-                              "incremental); verdict-identical")
-    p_sweep.add_argument("--sat-core", choices=("arena", "object"),
-                         default="arena",
-                         help="CDCL clause representation (A/B flag; "
-                              "verdicts identical)")
+                              "solves ('auto' = incremental); "
+                              "verdict-identical")
     p_sweep.add_argument("--report-json", default="",
                          help="write the sweep report as JSON")
     _add_resilience_flags(p_sweep, "condition")

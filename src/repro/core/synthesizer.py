@@ -192,18 +192,13 @@ class Rtl2Uspec:
                  jobs: int = 1,
                  journal: Optional[VerdictJournal] = None,
                  check_timeout: Optional[float] = None,
-                 engine: str = "incremental",
                  hier: Optional[HierNetlist] = None,
                  compose: bool = False):
         metadata.validate(sim_netlist)
         self.sim_netlist = sim_netlist
         self.formal_netlist = formal_netlist
         self.md = metadata
-        # ``engine`` picks the default checker's execution strategy
-        # (incremental retained-solver vs the historical one-shot);
-        # ignored when an explicit ``checker`` is supplied.
-        self.checker = checker or PropertyChecker(bound=12, max_k=3,
-                                                  engine=engine)
+        self.checker = checker or PropertyChecker(bound=12, max_k=3)
         # ``compose`` switches to hierarchical compositional synthesis:
         # module-scoped obligation graphs with assume-guarantee
         # interface obligations, isomorphic-problem dedupe, and

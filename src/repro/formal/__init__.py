@@ -10,7 +10,6 @@ from .aiger import export_problem, write_aiger
 from .bitblast import BlastCache, BlastedDesign, bitblast, extend_bitblast
 from .cache import CachingPropertyChecker, VerdictCache, problem_fingerprint
 from .engine import (
-    ENGINES,
     PROVEN,
     PROVEN_BOUNDED,
     REFUTED,
@@ -37,7 +36,6 @@ __all__ = [
     "bitblast",
     "extend_bitblast",
     "BlastCache",
-    "ENGINES",
     "VerdictCache",
     "CachingPropertyChecker",
     "problem_fingerprint",

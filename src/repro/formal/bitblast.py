@@ -7,7 +7,7 @@ pure bit-level transition system.
 :class:`BlastCache` memoizes the cone-of-influence + bitblast front
 half of a property check behind a content key, so repeated checks of
 structurally identical problems (re-checks for counterexample traces,
-scheduler retries, A/B runs) stop re-blasting the same cone.  A
+scheduler retries) stop re-blasting the same cone.  A
 :class:`BlastedDesign` is immutable once built — the unroller and
 trace extractor only read it — so sharing one instance across checks
 is safe.

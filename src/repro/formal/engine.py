@@ -21,28 +21,19 @@ yields a first-class ``UNKNOWN`` verdict (with the exhausted budget in
 never strand a whole synthesis run — the caller degrades conservatively,
 mirroring the paper's §6.2 relaxation fallbacks.
 
-Two execution engines decide the same problems:
+Each phase runs on ONE retained solver per problem.  BMC unrolls frame
+by frame, deciding each frame's violation selector via
+``solve(assumptions=[violation])``; an UNSAT frame permanently asserts
+``-violation`` and its learned clauses carry forward to deeper frames.
+Refutations exit at the first failing cycle without ever encoding the
+frames beyond it, so the counterexample is the minimal one.  Induction
+escalates k in a second retained solver by monotone additions: after
+the step query fails at k, frame k is asserted clean and the query for
+k+1 reuses everything.
 
-* ``engine="oneshot"`` (the original): one monolithic CNF per BMC run
-  asserting the disjunction of all per-frame violations, and a fresh
-  solver per induction depth k.
-* ``engine="incremental"`` (the default): ONE retained solver per
-  problem.  BMC unrolls frame by frame, deciding each frame's
-  violation selector via ``solve(assumptions=[violation])``; an UNSAT
-  frame permanently asserts ``-violation`` and its learned clauses
-  carry forward to deeper frames.  Refutations exit at the first
-  failing cycle without ever encoding the frames beyond it, which is
-  where most of the one-shot engine's encoding time goes.  Induction
-  escalates k in a second retained solver by monotone additions: after
-  the step query fails at k, frame k is asserted clean and the query
-  for k+1 reuses everything.  Frame queries are SAT exactly when the
-  one-shot disjunction is, and each incremental step-k formula is
-  semantically identical to the fresh per-k query, so verdict statuses
-  and ``induction_k`` match the one-shot engine exactly.
-
-``share_bitblast=True`` routes cone-of-influence extraction and
-bit-blasting through a keyed :class:`~repro.formal.bitblast.BlastCache`
-so repeated checks over the same cone skip straight to unrolling.
+Cone-of-influence extraction and bit-blasting go through a keyed
+:class:`~repro.formal.bitblast.BlastCache`, so repeated checks over the
+same cone skip straight to unrolling.
 """
 
 from __future__ import annotations
@@ -51,15 +42,12 @@ import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
-from ..netlist import Netlist, cone_of_influence
-from ..sat import CORES, UNSAT, Cnf, make_solver
+from ..netlist import Netlist
+from ..sat import UNSAT, ArenaSolver, Cnf
 from ..sat import UNKNOWN as _SAT_UNKNOWN
-from .bitblast import BlastCache, BlastedDesign, bitblast, extend_bitblast
+from .bitblast import BlastCache, BlastedDesign, extend_bitblast
 from .trace import Trace, extract_trace
 from .unroll import Unroller
-
-#: valid values for PropertyChecker(engine=...)
-ENGINES = ("incremental", "oneshot")
 
 PROVEN = "PROVEN"
 REFUTED = "REFUTED"
@@ -152,17 +140,11 @@ class PropertyChecker:
     def __init__(self, bound: int = 14, max_k: int = 12,
                  use_coi: bool = True, max_conflicts: Optional[int] = None,
                  timeout_seconds: Optional[float] = None,
-                 engine: str = "incremental", share_bitblast: bool = True,
-                 sat_order: str = "heap", sat_core: str = "arena",
                  phase_seed: int = 0,
                  restart_base: Optional[int] = None,
                  portfolio: int = 1,
                  blast_cache_size: int = 64,
                  blast_cache: Optional[BlastCache] = None):
-        if engine not in ENGINES:
-            raise ValueError(f"engine must be one of {ENGINES}, got {engine!r}")
-        if sat_core not in CORES:
-            raise ValueError(f"sat_core must be one of {CORES}, got {sat_core!r}")
         if portfolio < 1:
             raise ValueError(f"portfolio size must be >= 1, got {portfolio}")
         self.bound = bound
@@ -170,10 +152,6 @@ class PropertyChecker:
         self.use_coi = use_coi
         self.max_conflicts = max_conflicts
         self.timeout_seconds = timeout_seconds
-        self.engine = engine
-        self.share_bitblast = share_bitblast
-        self.sat_order = sat_order
-        self.sat_core = sat_core
         # Portfolio diversification knobs (see repro.formal.portfolio):
         # phase_seed perturbs initial saved phases, restart_base overrides
         # the solver's Luby restart unit.  Defaults reproduce the
@@ -188,9 +166,8 @@ class PropertyChecker:
         # ``blast_cache`` injects a custom cache (e.g. the service's
         # store-backed PersistentBlastCache); workers unpickling this
         # checker still rebuild a plain in-memory cache (__setstate__).
-        self._blast_cache: Optional[BlastCache] = blast_cache if \
-            blast_cache is not None else \
-            (BlastCache(blast_cache_size) if share_bitblast else None)
+        self._blast_cache: BlastCache = blast_cache if \
+            blast_cache is not None else BlastCache(blast_cache_size)
         #: cumulative statistics across check() calls; the ``sat_*``
         #: counters and ``arena_bytes`` feed ``--profile-sat`` (the
         #: scheduler sums worker deltas key-by-key, so ``arena_bytes``
@@ -203,11 +180,9 @@ class PropertyChecker:
         }
         self._arena_bytes_peak = 0
 
-    def _new_solver(self):
-        """A fresh CDCL core per the checker's ``sat_core``/``sat_order``
-        configuration (plus portfolio knobs)."""
-        solver = make_solver(order=self.sat_order, core=self.sat_core,
-                             phase_seed=self.phase_seed)
+    def _new_solver(self) -> ArenaSolver:
+        """A fresh CDCL core with the checker's portfolio knobs."""
+        solver = ArenaSolver(phase_seed=self.phase_seed)
         if self.restart_base is not None:
             solver.restart_base = self.restart_base
         return solver
@@ -244,8 +219,7 @@ class PropertyChecker:
 
     def __setstate__(self, state):
         self.__dict__.update(state)
-        if self.share_bitblast:
-            self._blast_cache = BlastCache(self.blast_cache_size)
+        self._blast_cache = BlastCache(self.blast_cache_size)
 
     # ------------------------------------------------------------------
     def check(self, problem: SafetyProblem, bound: Optional[int] = None,
@@ -276,12 +250,8 @@ class PropertyChecker:
             else self.max_conflicts
         netlist, design = self._blast(problem)
 
-        bmc = self._bmc_incremental if self.engine == "incremental" \
-            else self._bmc
-        induction = self._induction_incremental \
-            if self.engine == "incremental" else self._induction
-        cex, budget_hit = bmc(design, problem, netlist, bound,
-                              deadline, conflicts)
+        cex, budget_hit = self._bmc(design, problem, netlist, bound,
+                                    deadline, conflicts)
         self.stats["checks"] += 1
         if budget_hit is not None:
             elapsed = time.perf_counter() - start
@@ -291,8 +261,8 @@ class PropertyChecker:
             elapsed = time.perf_counter() - start
             return Verdict(REFUTED, "bmc", bound, elapsed, trace=cex, name=problem.name)
         if prove:
-            k_ok = induction(design, problem, netlist, bound,
-                             deadline, conflicts)
+            k_ok = self._induction(design, problem, netlist, bound,
+                                   deadline, conflicts)
             elapsed = time.perf_counter() - start
             if k_ok is not None:
                 return Verdict(PROVEN, "k-induction", bound, elapsed,
@@ -312,52 +282,32 @@ class PropertyChecker:
 
     # ------------------------------------------------------------------
     def _blast(self, problem: SafetyProblem) -> Tuple[Netlist, BlastedDesign]:
-        """COI-reduce and bit-blast the problem, via the shared cache
-        when ``share_bitblast`` is enabled."""
-        if problem.base is not None and self._blast_cache is not None:
+        """COI-reduce and bit-blast the problem via the shared cache."""
+        hits0 = self._blast_cache.hits
+        misses0 = self._blast_cache.misses
+        if problem.base is not None:
             # Share-base path: the (module) base design is blasted whole
             # once — no COI, so one cache entry serves every monitor —
             # and only the monitor delta is blasted per problem.
-            hits0 = self._blast_cache.hits
-            misses0 = self._blast_cache.misses
             _, base_blasted = self._blast_cache.get(problem.base, (), (), False)
-            self.stats["blast_hits"] += self._blast_cache.hits - hits0
-            self.stats["blast_misses"] += self._blast_cache.misses - misses0
-            design = extend_bitblast(base_blasted, problem.netlist,
+            netlist = problem.netlist
+            design = extend_bitblast(base_blasted, netlist,
                                      problem.frozen_inputs)
-            return problem.netlist, design
-        if self._blast_cache is not None:
-            hits0 = self._blast_cache.hits
-            misses0 = self._blast_cache.misses
+        else:
             netlist, design = self._blast_cache.get(
                 problem.netlist, problem.roots(), problem.frozen_inputs,
                 self.use_coi)
-            self.stats["blast_hits"] += self._blast_cache.hits - hits0
-            self.stats["blast_misses"] += self._blast_cache.misses - misses0
-            return netlist, design
-        netlist = problem.netlist
-        if self.use_coi:
-            netlist = cone_of_influence(netlist, problem.roots())
-        frozen = [f for f in problem.frozen_inputs if f in netlist.inputs]
-        self.stats["blast_misses"] += 1
-        return netlist, bitblast(netlist, frozen)
+        self.stats["blast_hits"] += self._blast_cache.hits - hits0
+        self.stats["blast_misses"] += self._blast_cache.misses - misses0
+        return netlist, design
 
     # ------------------------------------------------------------------
     def _reset_unit(self, unroller: Unroller, problem: SafetyProblem,
-                    t: int, in_reset_frames: int = 1) -> int:
-        """Unit constraint for the reset input at frame ``t`` (high
-        during the first ``in_reset_frames`` frames, low after)."""
+                    t: int) -> int:
+        """Unit constraint for the reset input at frame ``t`` (high in
+        the first frame, low after)."""
         lit = unroller.wire_lit(problem.reset_input, t)
-        return lit if t < in_reset_frames else -lit
-
-    def _reset_schedule(self, unroller: Unroller, netlist: Netlist,
-                        problem: SafetyProblem, frames: int,
-                        in_reset_frames: int = 1) -> List[int]:
-        """Unit constraints pinning the reset input high then low."""
-        if problem.reset_input not in netlist.inputs:
-            return []
-        return [self._reset_unit(unroller, problem, t, in_reset_frames)
-                for t in range(frames)]
+        return lit if t == 0 else -lit
 
     def _frame_ok(self, unroller: Unroller, netlist: Netlist,
                   problem: SafetyProblem, cnf: Cnf, t: int) -> Tuple[int, int]:
@@ -369,88 +319,6 @@ class PropertyChecker:
         fail = cnf.encode_or(fail_lits) if fail_lits else cnf.false_lit
         return assume_ok, fail
 
-    def _bmc(self, design: BlastedDesign, problem: SafetyProblem,
-             netlist: Netlist, bound: int,
-             deadline: Optional[float] = None,
-             max_conflicts: Optional[int] = None
-             ) -> Tuple[Optional[Trace], Optional[str]]:
-        """Returns ``(counterexample, budget_hit)``: the trace if the
-        property is refuted (None if clean up to ``bound``), and the
-        name of the exhausted budget when BMC could not decide."""
-        cnf = Cnf()
-        unroller = Unroller(design, cnf)
-        unroller.extend_to(bound + 1)
-        for unit in self._reset_schedule(unroller, netlist, problem, bound + 1):
-            cnf.assert_lit(unit)
-        violations = []
-        prefix_ok = cnf.true_lit
-        for t in range(bound + 1):
-            assume_ok, fail = self._frame_ok(unroller, netlist, problem, cnf, t)
-            prefix_ok = cnf.encode_and((prefix_ok, assume_ok))
-            violations.append(cnf.encode_and((prefix_ok, fail)))
-        cnf.assert_lit(cnf.encode_or(violations))
-        solver = self._new_solver()
-        solver.add_cnf(cnf)
-        status = self._timed_solve(solver, max_conflicts=max_conflicts,
-                                   deadline=deadline)
-        if status == _SAT_UNKNOWN:
-            if deadline is not None and time.perf_counter() >= deadline:
-                return None, "timeout"
-            return None, "conflict-budget"
-        if status == UNSAT:
-            return None, None
-        # Find the failing cycle for reporting.
-        fail_cycle = None
-        for t, lit in enumerate(violations):
-            if solver.model_value(lit):
-                fail_cycle = t
-                break
-        return extract_trace(unroller, solver, bound + 1, fail_cycle), None
-
-    def _induction(self, design: BlastedDesign, problem: SafetyProblem,
-                   netlist: Netlist, base_bound: int,
-                   deadline: Optional[float] = None,
-                   max_conflicts: Optional[int] = None) -> Optional[int]:
-        """Try k-induction for k = 1..max_k; returns the successful k.
-
-        The base case is the (already clean) BMC run when k <= bound;
-        for safety we re-check the base up to k as well.  A budget hit
-        simply stops the escalation (the caller degrades to
-        PROVEN_BOUNDED, which BMC has already established).
-        """
-        for k in range(1, self.max_k + 1):
-            if deadline is not None and time.perf_counter() >= deadline:
-                return None
-            if k > base_bound:
-                # Base case beyond the BMC bound has not been checked.
-                return None
-            cnf = Cnf()
-            unroller = Unroller(design, cnf, free_initial_state=True)
-            unroller.extend_to(k + 1)
-            # Post-reset operation: reset stays low in the window.
-            if problem.reset_input in netlist.inputs:
-                for t in range(k + 1):
-                    cnf.assert_lit(-unroller.wire_lit(problem.reset_input, t))
-            for t in range(k):
-                assume_ok, fail = self._frame_ok(unroller, netlist, problem, cnf, t)
-                cnf.assert_lit(assume_ok)
-                cnf.assert_lit(-fail)
-            assume_ok, fail = self._frame_ok(unroller, netlist, problem, cnf, k)
-            cnf.assert_lit(assume_ok)
-            cnf.assert_lit(fail)
-            solver = self._new_solver()
-            solver.add_cnf(cnf)
-            status = self._timed_solve(solver, max_conflicts=max_conflicts,
-                                       deadline=deadline)
-            if status == UNSAT:
-                return k
-            if status == _SAT_UNKNOWN:
-                return None
-        return None
-
-    # ------------------------------------------------------------------
-    # Incremental engine
-    # ------------------------------------------------------------------
     @staticmethod
     def _feed_solver(solver, cnf: Cnf, fed: int) -> int:
         """Push clauses ``cnf.clauses[fed:]`` into the retained solver;
@@ -464,12 +332,15 @@ class PropertyChecker:
                 fed += 1
         return fed
 
-    def _bmc_incremental(self, design: BlastedDesign, problem: SafetyProblem,
-                         netlist: Netlist, bound: int,
-                         deadline: Optional[float] = None,
-                         max_conflicts: Optional[int] = None
-                         ) -> Tuple[Optional[Trace], Optional[str]]:
-        """Retained-solver BMC: same contract as :meth:`_bmc`.
+    def _bmc(self, design: BlastedDesign, problem: SafetyProblem,
+             netlist: Netlist, bound: int,
+             deadline: Optional[float] = None,
+             max_conflicts: Optional[int] = None
+             ) -> Tuple[Optional[Trace], Optional[str]]:
+        """Retained-solver BMC.  Returns ``(counterexample,
+        budget_hit)``: the trace if the property is refuted (None if
+        clean up to ``bound``), and the name of the exhausted budget
+        when BMC could not decide.
 
         One solver lives across all frames.  Frame ``t``'s violation
         selector is decided under ``assumptions=[violation]``; a SAT
@@ -478,9 +349,8 @@ class PropertyChecker:
         asserts ``-violation`` — sound because UNSAT under a single
         assumption means the clause database already implies its
         negation — and carries every learned clause into frame ``t+1``.
-        The conflict budget is shared across frames (the one-shot
-        engine's single solve call has the same total), while the
-        deadline is absolute as before.
+        The conflict budget is shared across frames, while the deadline
+        is absolute.
         """
         cnf = Cnf()
         unroller = Unroller(design, cnf)
@@ -518,21 +388,22 @@ class PropertyChecker:
             return extract_trace(unroller, solver, t + 1, t), None
         return None, None
 
-    def _induction_incremental(self, design: BlastedDesign,
-                               problem: SafetyProblem, netlist: Netlist,
-                               base_bound: int,
-                               deadline: Optional[float] = None,
-                               max_conflicts: Optional[int] = None
-                               ) -> Optional[int]:
-        """Retained-solver k-induction: same contract as :meth:`_induction`.
+    def _induction(self, design: BlastedDesign, problem: SafetyProblem,
+                   netlist: Netlist, base_bound: int,
+                   deadline: Optional[float] = None,
+                   max_conflicts: Optional[int] = None) -> Optional[int]:
+        """Retained-solver k-induction for k = 1..max_k; returns the
+        successful k.  Depths beyond the (already clean) BMC bound are
+        never tried, since their base case is unchecked.  A budget hit
+        simply stops the escalation (the caller degrades to
+        PROVEN_BOUNDED, which BMC has already established).
 
         Escalating k only ever *adds* constraints: after the step query
         fails at k (SAT under ``assumptions=[fail_k]``), frame k is
         asserted clean and frame k+1 is appended, so the solver keeps
         its learned clauses across depths.  Each step-k formula is
-        semantically identical to the one-shot engine's fresh per-k
-        query, hence the same ``induction_k``.  As in the one-shot
-        engine, each depth gets the full conflict budget.
+        semantically identical to a fresh per-k query, hence the same
+        ``induction_k``.  Each depth gets the full conflict budget.
         """
         cnf = Cnf()
         unroller = Unroller(design, cnf, free_initial_state=True)

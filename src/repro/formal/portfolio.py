@@ -3,8 +3,8 @@
 ``PropertyChecker(portfolio=N)`` (CLI: ``repro synth --portfolio N``)
 decides each safety problem by racing ``N`` differently-configured
 copies of the checker over :func:`repro.resilience.pool.race_tasks`.
-Configs vary only *search-path* knobs — initial phase seed, Luby
-restart unit, branch order — never the formula, so every racer decides
+Configs vary only *search-path* knobs — initial phase seed and Luby
+restart unit — never the formula, so every racer decides
 the same CNF and SAT/UNSAT answers agree by soundness: statuses,
 bounds, and induction depths are config-invariant, and the verdict
 digest (trichotomy over signatures) is identical to a non-portfolio
@@ -29,44 +29,37 @@ from typing import Dict, List, Optional, Tuple
 
 from ..resilience.pool import race_tasks, worker_state
 
-#: (phase_seed, restart_base, order) variants for configs 1..N-1; the
-#: cycle repeats with shifted seeds past its length.  Seeds are small
-#: fixed integers, not entropy: determinism of each racer matters, only
-#: the *diversity* between them is the point.
-_VARIANTS: Tuple[Tuple[int, Optional[int], Optional[str]], ...] = (
-    (1, 32, None),
-    (2, 128, None),
-    (3, 16, None),
-    (4, 256, None),
-    (5, None, "scan"),
-    (6, 8, None),
-    (7, 512, None),
-)
+#: a portfolio config: (phase_seed, restart_base); restart_base None
+#: keeps the solver's default Luby unit
+Config = Tuple[int, Optional[int]]
 
-#: a portfolio config: (phase_seed, restart_base, sat_order)
-Config = Tuple[int, Optional[int], str]
+#: (phase_seed, restart_base) variants for configs 1..N-1; the cycle
+#: repeats with shifted seeds past its length.  Seeds are small fixed
+#: integers, not entropy: determinism of each racer matters, only the
+#: *diversity* between them is the point.
+_VARIANTS: Tuple[Config, ...] = (
+    (1, 32),
+    (2, 128),
+    (3, 16),
+    (4, 256),
+    (5, 64),
+    (6, 8),
+    (7, 512),
+)
 
 
 def portfolio_configs(checker, size: int) -> List[Config]:
     """The deterministic config list for one race: the checker's own
     configuration first, then ``size - 1`` diversification variants."""
-    configs: List[Config] = [(checker.phase_seed, checker.restart_base,
-                              checker.sat_order)]
+    configs: List[Config] = [(checker.phase_seed, checker.restart_base)]
     for i in range(1, max(1, size)):
-        seed, restart, order = _VARIANTS[(i - 1) % len(_VARIANTS)]
-        seed += 8 * ((i - 1) // len(_VARIANTS))
-        configs.append((seed,
-                        restart if restart is not None
-                        else checker.restart_base,
-                        order if order is not None else checker.sat_order))
+        seed, restart = _VARIANTS[(i - 1) % len(_VARIANTS)]
+        configs.append((seed + 8 * ((i - 1) // len(_VARIANTS)), restart))
     return configs
 
 
 def _apply_config(checker, config: Config) -> None:
-    phase_seed, restart_base, sat_order = config
-    checker.phase_seed = phase_seed
-    checker.restart_base = restart_base
-    checker.sat_order = sat_order
+    checker.phase_seed, checker.restart_base = config
 
 
 def _race_worker(config: Config):

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional
 
-from ..sat import Solver
+from ..sat import ArenaSolver
 from .unroll import Unroller
 
 
@@ -44,7 +44,7 @@ class Trace:
         return "\n".join(rows)
 
 
-def extract_trace(unroller: Unroller, solver: Solver, length: int,
+def extract_trace(unroller: Unroller, solver: ArenaSolver, length: int,
                   fail_cycle: Optional[int] = None) -> Trace:
     """Read back every wire and memory cell value from a SAT model."""
     design = unroller.design

@@ -2,7 +2,7 @@
 
 A verification run must never hang on one pathological instance: every
 solve carries an optional wall-clock deadline and SAT conflict budget
-(both natively supported by :meth:`repro.sat.Solver.solve`), and a
+(both natively supported by :meth:`repro.sat.ArenaSolver.solve`), and a
 budget hit produces a *verdict* — status ``TIMEOUT`` (deadline) or
 ``UNKNOWN`` (conflict budget) — instead of an exception or a missing
 result.  Downstream consumers treat undecided statuses conservatively:
@@ -65,7 +65,7 @@ class BudgetClock:
         return self.deadline is not None and time.perf_counter() >= self.deadline
 
     def solve_args(self) -> Dict[str, object]:
-        """Keyword arguments for :meth:`repro.sat.Solver.solve`."""
+        """Keyword arguments for :meth:`repro.sat.ArenaSolver.solve`."""
         args: Dict[str, object] = {}
         if self.deadline is not None:
             args["deadline"] = self.deadline

@@ -4,54 +4,20 @@ This package is the decision-procedure substrate for the formal property
 checker (``repro.formal``), which replaces the commercial JasperGold
 model checker used in the paper.
 
-Two interchangeable CDCL cores decide every query (bit-identical search
-trajectories, pinned by the fuzz suite):
-
-* ``core="arena"`` (the default) — :class:`ArenaSolver`, clauses packed
-  into one flat literal arena with (offset, size, LBD) headers and
-  watchlists of integer clause refs;
-* ``core="object"`` — :class:`Solver`, the historical per-clause
-  Python-list representation, kept for A/B benchmarking exactly like
-  the ``order="scan"`` branch-order baseline.
-
-Use :func:`make_solver` to construct by name.
+One CDCL core decides every query: :class:`ArenaSolver`, clauses packed
+into one flat literal arena with (offset, size, LBD) headers and
+watchlists of integer clause refs.
 """
 
-from ..errors import SatError
 from .arena import ArenaSolver
 from .cnf import Cnf, neg
 from .dimacs import read_dimacs, write_dimacs
-from .solver import SAT, UNKNOWN, UNSAT, Solver, luby, solve_cnf
-
-#: valid values for the ``core=`` A/B flag, default first
-CORES = ("arena", "object")
-
-
-def make_solver(order: str = "heap", core: str = "arena",
-                phase_seed: int = 0):
-    """Construct a CDCL core by name.
-
-    ``order`` picks the branch ordering (``heap``/``scan``), ``core``
-    the clause representation (``arena``/``object``); every combination
-    produces the same search trajectory.  ``phase_seed`` perturbs the
-    initial saved phases (portfolio diversification; 0 = historical
-    all-False init).
-    """
-    if core == "arena":
-        return ArenaSolver(order=order, phase_seed=phase_seed)
-    if core == "object":
-        return Solver(order=order, phase_seed=phase_seed)
-    raise SatError(f"unknown solver core {core!r} "
-                   f"(expected one of {CORES})")
-
+from .solver import SAT, UNKNOWN, UNSAT, luby, solve_cnf
 
 __all__ = [
     "Cnf",
     "neg",
-    "Solver",
     "ArenaSolver",
-    "make_solver",
-    "CORES",
     "solve_cnf",
     "luby",
     "SAT",

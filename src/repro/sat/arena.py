@@ -1,12 +1,9 @@
-"""Packed-arena CDCL core: the same search, flat storage.
+"""Packed-arena CDCL core: the repo's one SAT solver.
 
-:class:`ArenaSolver` is a drop-in replacement for the per-clause-object
-:class:`repro.sat.solver.Solver` with identical public API, counters,
-and — critically — **bit-identical search trajectories** (same
-decisions, conflicts, propagations, learned clauses, models) for any
-call sequence.  The fuzz suite pins this equivalence; the ``core=
-"arena"|"object"`` A/B flag on the engine and check layers rides on it
-the same way PR 4's ``order="heap"|"scan"`` flag did.
+:class:`ArenaSolver` decides every SAT query of the formal property
+checker and the litmus checker.  Its search trajectory (decisions,
+conflicts, propagations, reductions) is pinned per seeded corpus by
+the fuzz suite.
 
 Memory layout::
 
@@ -25,8 +22,8 @@ CPython's ``array.__getitem__`` allocates a fresh int object on every
 read outside the small-int cache, which on literal-heavy workloads costs
 more than the packed layout saves; a list stores the boxed int once and
 hands back the same object.  (Measured on PHP(9,8): list arena ~1.55×
-the object core, ``array('i')`` arena ~1.35×.)  The layout is otherwise
-exactly the classic packed arena.
+the former per-clause-object core, ``array('i')`` arena ~1.35×.)  The
+layout is otherwise exactly the classic packed arena.
 
 A clause ref never changes: arena compaction (triggered when removed
 learned clauses leave more than half the arena as garbage) rewrites only
@@ -35,13 +32,13 @@ pointers survive untouched.  Removed clauses' header slots leak three
 ints apiece — bounded by the learned-clause churn and recycled wholesale
 when the solver is dropped.
 
-What the flat layout removes from the hot path, relative to the object
-core: the per-propagation ``dict`` watchlist lookups (direct
-literal-indexed list reads instead), the fresh ``new_watchlist`` allocation per
-propagated literal (in-place compaction with a write index), the
-``_value()`` method call per literal scanned (inlined sign-aware
-literal-indexed truth reads), and per-clause Python list objects (one
-flat arena).
+What the flat layout removes from the hot path, relative to a
+per-clause-object core: the per-propagation ``dict`` watchlist lookups
+(direct literal-indexed list reads instead), the fresh watchlist
+allocation per propagated literal (in-place compaction with a write
+index), the ``_value()`` method call per literal scanned (inlined
+sign-aware literal-indexed truth reads), and per-clause Python list
+objects (one flat arena).
 """
 
 from __future__ import annotations
@@ -68,18 +65,22 @@ NO_REASON = -1
 class ArenaSolver(VsidsHeapMixin, BatchedSolveMixin):
     """CDCL over DIMACS-style integer literals, packed-arena storage.
 
-    Public surface matches :class:`repro.sat.solver.Solver`: the
-    attributes ``ok / conflicts / decisions / propagations / reductions /
-    conflict_assumptions / restart_base / reduce_db_threshold`` and the
-    methods ``add_clause / add_cnf / solve / solve_batch / model_value /
-    model``.  ``clauses`` and ``learned`` hold integer clause refs here
-    (the object core holds literal lists); only the fuzz/diagnostic
-    tooling looks inside.
+    Typical use::
+
+        solver = ArenaSolver()
+        solver.add_clause([1, -2])
+        solver.add_clause([2, 3])
+        result = solver.solve()            # SAT / UNSAT
+        value = solver.model_value(3)      # True / False
+
+    ``solve(assumptions=...)`` supports incremental queries: the clause
+    database persists across calls and learned clauses are retained.
+    ``clauses`` and ``learned`` hold integer clause refs (indices into
+    the header arrays).  ``phase_seed`` perturbs the initial saved
+    phases (portfolio diversification; 0 = all-False init).
     """
 
-    def __init__(self, order: str = "heap", phase_seed: int = 0):
-        if order not in ("heap", "scan"):
-            raise SatError(f"unknown branch order {order!r}")
+    def __init__(self, phase_seed: int = 0):
         self.phase_seed = phase_seed
         self.num_vars = 0
         #: flat literal arena (see module docstring for why a list)
@@ -117,17 +118,22 @@ class ArenaSolver(VsidsHeapMixin, BatchedSolveMixin):
         self.conflicts = 0
         self.decisions = 0
         self.propagations = 0
+        #: learned-DB reductions actually performed (``--profile-sat``)
         self.reductions = 0
+        #: cumulative shared/total assumption levels across solve_batch
         self.batch_shared_levels = 0
         self.batch_assumption_levels = 0
         #: arena slots owned by removed clauses, reclaimed by _compact
         self.garbage = 0
         self.max_conflicts: Optional[int] = None
+        #: learned-clause count that triggers a database reduction
         self.reduce_db_threshold = 2000
+        #: conflicts before the first restart (Luby-scaled thereafter)
         self.restart_base = 64
-        self.order = order
-        self._use_heap = order == "heap"
+        #: lazy VSIDS max-heap (see VsidsHeapMixin)
         self._heap: List[Tuple[float, int]] = []
+        #: failed-assumption set of the most recent UNSAT-under-
+        #: assumptions solve() (empty after SAT/UNKNOWN returns)
         self.conflict_assumptions: List[int] = []
         self._seen: List[int] = [0]
 
@@ -153,9 +159,8 @@ class ArenaSolver(VsidsHeapMixin, BatchedSolveMixin):
         grown.extend(watches[old + 1:])        # negatives -old..-1
         self.watches = grown
         self.num_vars = var
-        if self._use_heap:
-            for v in range(old + 1, var + 1):
-                self._heap_insert(v)
+        for v in range(old + 1, var + 1):
+            self._heap_insert(v)
         # Negative indexing pins every slot's meaning to the list
         # length, so growth rebuilds the table — via slice copies: the
         # positive half keeps its positions, the negative half keeps
@@ -269,9 +274,9 @@ class ArenaSolver(VsidsHeapMixin, BatchedSolveMixin):
     def _propagate(self) -> int:
         """Unit propagation; returns a conflicting clause ref or -1.
 
-        Mirrors the object core operation for operation — watch scan
-        order, first-non-false new-watch selection, the clause[0]/[1]
-        swap discipline — so the two cores visit identical conflicts.
+        Watchlists are scanned in order; a clause's new watch is its
+        first non-false literal past the two watched ones, and the
+        false watch is always normalized into position 1.
 
         Each watchlist pass runs in two phases: until a watch actually
         moves, the list is unchanged and the scan writes nothing;
@@ -442,9 +447,9 @@ class ArenaSolver(VsidsHeapMixin, BatchedSolveMixin):
                 var = q if q > 0 else -q
                 if not seen[var] and level[var] > 0:
                     seen[var] = 1
-                    # Inlined VSIDS bump (the object core's _bump_var):
-                    # one attribute hop per conflict instead of one
-                    # method call per seen literal.
+                    # Inlined VSIDS bump: one attribute hop per
+                    # conflict instead of one method call per seen
+                    # literal.
                     act = activity[var] + var_inc
                     activity[var] = act
                     if act > 1e100:
@@ -514,7 +519,6 @@ class ArenaSolver(VsidsHeapMixin, BatchedSolveMixin):
         return len(levels)
 
     def _backtrack(self, target_level: int) -> None:
-        use_heap = self._use_heap
         heap = self._heap
         activity = self.activity
         heappush = heapq.heappush
@@ -537,11 +541,10 @@ class ArenaSolver(VsidsHeapMixin, BatchedSolveMixin):
                 litval[lit] = 0
                 litval[-lit] = 0
                 reason[var] = NO_REASON
-                if use_heap:
-                    heappush(heap, (-activity[var], var))
+                heappush(heap, (-activity[var], var))
             del trail[lim:]
         self.qhead = len(trail)
-        if use_heap and len(heap) > 4 * self.num_vars + 16:
+        if len(heap) > 4 * self.num_vars + 16:
             self._heap_rebuild()
 
     # ------------------------------------------------------------------
@@ -611,9 +614,20 @@ class ArenaSolver(VsidsHeapMixin, BatchedSolveMixin):
               deadline: Optional[float] = None, keep_levels: int = 0) -> str:
         """Run CDCL search; returns SAT, UNSAT or UNKNOWN (budget hit).
 
-        Same contract as :meth:`repro.sat.solver.Solver.solve`,
-        including ``keep_levels`` batched-assumption reuse.
+        ``assumptions`` are literals treated as temporary decisions; on
+        UNSAT caused by assumptions, :attr:`conflict_assumptions` holds a
+        subset of failed assumptions.  ``deadline`` is an absolute
+        ``time.perf_counter()`` instant: the search polls the clock
+        every few conflicts and returns UNKNOWN once it is past due.
+
+        ``keep_levels`` (used by :meth:`solve_batch`) retains that many
+        leading decision levels from the previous call instead of
+        restarting at level 0; the caller guarantees they correspond to
+        a shared prefix of the new assumption list.
         """
+        # Reset before any early return: a caller inspecting the
+        # failed-assumption set after a timed-out call must not read
+        # the previous query's core.
         self.conflict_assumptions = []
         if deadline is not None and time.perf_counter() >= deadline:
             return UNKNOWN
@@ -625,6 +639,10 @@ class ArenaSolver(VsidsHeapMixin, BatchedSolveMixin):
         conflict = self._propagate()
         if conflict >= 0:
             if self.trail_lim:
+                # A conflict while kept assumption levels are still on
+                # the trail (possible only if clauses were added since
+                # the previous call) is not a global UNSAT: retry from
+                # level 0 before concluding anything.
                 self._backtrack(0)
                 conflict = self._propagate()
             if conflict >= 0:

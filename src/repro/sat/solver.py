@@ -1,37 +1,26 @@
-"""A CDCL SAT solver in pure Python.
+"""Shared pieces of the CDCL solver in pure Python.
 
-This is the proof engine behind the formal property checker (the
-reproduction's stand-in for JasperGold). It implements the standard
-modern architecture:
+The solver itself is :class:`repro.sat.arena.ArenaSolver`, the proof
+engine behind the formal property checker (the reproduction's stand-in
+for JasperGold).  It implements the standard modern architecture:
 
 * two-literal watching for unit propagation,
 * first-UIP conflict analysis with clause learning and minimization,
 * VSIDS-style activity ordering with phase saving, served by a lazy
-  indexed max-heap (MiniSat's ``order_heap``) instead of an
-  O(num_vars) scan per decision,
-* Luby-sequence restarts,
+  max-heap (MiniSat's ``order_heap``; :class:`VsidsHeapMixin`),
+* Luby-sequence restarts (:func:`luby`),
 * learned-clause database reduction ordered by LBD (glue), with the
   LBD recorded at learn time,
-* solving under assumptions (used for incremental BMC queries).
-
-The implementation favours flat ``list``/``array`` state over objects on
-the hot path; clauses are Python lists whose first two literals are the
-watched ones.
-
-The heap orders variables by ``(activity desc, index asc)``, which is
-exactly the variable the historical linear scan selected (first
-strict maximum in index order), so ``order="heap"`` (the default) and
-``order="scan"`` (the seed baseline, kept for A/B benchmarking)
-produce bit-identical search trajectories.
+* solving under assumptions (used for incremental BMC queries), one at
+  a time or batched with a shared trail prefix
+  (:class:`BatchedSolveMixin`).
 """
 
 from __future__ import annotations
 
 import heapq
-import time
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence
 
-from ..errors import SatError
 from .cnf import Cnf
 
 SAT = "SAT"
@@ -58,16 +47,16 @@ def luby(i: int) -> int:
 
 
 class VsidsHeapMixin:
-    """Branch ordering shared by the object and arena cores.
+    """VSIDS branch ordering.
 
     A lazy binary heap over VSIDS activity built on the C-implemented
     :mod:`heapq`: entries are ``(-activity, var)`` tuples snapshotted
     at push time, popped smallest-first, which is (activity desc,
-    index asc) — exactly the variable the historical linear scan and
-    the indexed sift-up/sift-down heap selected.  Because that
-    comparator is a *total* order, every valid heap arrangement pops
-    the identical variable sequence, so the heapq rewrite is
-    trajectory-identical to both (``tests/unit/test_sat_fuzz.py``).
+    index asc) — the first strict maximum in index order.  Because
+    that comparator is a *total* order, every valid heap arrangement
+    pops the identical variable sequence, so the search trajectory does
+    not depend on the heap's internal layout (pinned by
+    ``tests/unit/test_sat_fuzz.py``).
 
     Laziness: VSIDS bumps touch only trail (assigned) variables, so a
     bump never repairs the heap — the var re-enters with a fresh
@@ -78,12 +67,6 @@ class VsidsHeapMixin:
     beyond a small multiple of the variable count.
     """
 
-    def _bump_var(self, var: int) -> None:
-        act = self.activity[var] + self.var_inc
-        self.activity[var] = act
-        if act > 1e100:
-            self._rescale_activity()
-
     def _rescale_activity(self) -> None:
         # Rescaling multiplies every activity by the same factor, so
         # the selection order is preserved; the stored snapshots are
@@ -91,8 +74,7 @@ class VsidsHeapMixin:
         for i in range(1, self.num_vars + 1):
             self.activity[i] *= 1e-100
         self.var_inc *= 1e-100
-        if self._use_heap:
-            self._heap_rebuild()
+        self._heap_rebuild()
 
     def _heap_rebuild(self) -> None:
         assign = self.assign
@@ -106,30 +88,20 @@ class VsidsHeapMixin:
         heapq.heappush(self._heap, (-self.activity[var], var))
 
     def _pick_branch_var(self) -> int:
-        if self._use_heap:
-            # Lazy deletion: pop until an unassigned variable
-            # surfaces.  An unassigned var always carries a
-            # current-snapshot entry (pushed at its latest unassign),
-            # and activity only grows between rescales, so a stale
-            # duplicate can only surface after the current entry — by
-            # which time the var is assigned and skipped.
-            assign = self.assign
-            heap = self._heap
-            pop = heapq.heappop
-            while heap:
-                var = pop(heap)[1]
-                if assign[var] == 0:
-                    return var
-            return 0
-        best = 0
-        best_act = -1.0
+        # Lazy deletion: pop until an unassigned variable surfaces.  An
+        # unassigned var always carries a current-snapshot entry
+        # (pushed at its latest unassign), and activity only grows
+        # between rescales, so a stale duplicate can only surface after
+        # the current entry — by which time the var is assigned and
+        # skipped.
         assign = self.assign
-        activity = self.activity
-        for var in range(1, self.num_vars + 1):
-            if assign[var] == 0 and activity[var] > best_act:
-                best_act = activity[var]
-                best = var
-        return best
+        heap = self._heap
+        pop = heapq.heappop
+        while heap:
+            var = pop(heap)[1]
+            if assign[var] == 0:
+                return var
+        return 0
 
     def _initial_phase(self, var: int) -> bool:
         """Saved-phase seed value for a fresh variable.
@@ -193,505 +165,10 @@ class BatchedSolveMixin:
         return results
 
 
-class Solver(VsidsHeapMixin, BatchedSolveMixin):
-    """CDCL solver over DIMACS-style integer literals.
-
-    Typical use::
-
-        solver = Solver()
-        solver.add_clause([1, -2])
-        solver.add_clause([2, 3])
-        result = solver.solve()            # SAT / UNSAT
-        value = solver.model_value(3)      # True / False
-
-    ``solve(assumptions=...)`` supports incremental queries: the clause
-    database persists across calls and learned clauses are retained.
-    """
-
-    def __init__(self, order: str = "heap", phase_seed: int = 0):
-        if order not in ("heap", "scan"):
-            raise SatError(f"unknown branch order {order!r}")
-        self.phase_seed = phase_seed
-        self.num_vars = 0
-        self.clauses: List[List[int]] = []  # problem clauses
-        self.learned: List[List[int]] = []
-        # watches[lit] = list of clauses watching lit. Indexed by
-        # literal encoded as lit -> index (positive 2v, negative 2v+1).
-        self.watches: Dict[int, List[List[int]]] = {}
-        self.assign: List[int] = [0]  # 0 unassigned, 1 true, -1 false; 1-based
-        self.level: List[int] = [0]
-        self.reason: List[Optional[List[int]]] = [None]
-        self.trail: List[int] = []
-        self.trail_lim: List[int] = []
-        self.qhead = 0
-        self.activity: List[float] = [0.0]
-        self.var_inc = 1.0
-        self.var_decay = 0.95
-        self.phase: List[bool] = [False]
-        self.ok = True
-        self.conflicts = 0
-        self.decisions = 0
-        self.propagations = 0
-        #: learned-DB reductions actually performed (``--profile-sat``)
-        self.reductions = 0
-        #: cumulative shared/total assumption levels across solve_batch
-        self.batch_shared_levels = 0
-        self.batch_assumption_levels = 0
-        self.max_conflicts: Optional[int] = None
-        #: learned-clause count that triggers a database reduction
-        self.reduce_db_threshold = 2000
-        #: conflicts before the first restart (Luby-scaled thereafter)
-        self.restart_base = 64
-        self.order = order
-        self._use_heap = order == "heap"
-        # Lazy heapq max-heap over VSIDS activity: entries are
-        # (-activity, var) snapshots; stale entries (var assigned, or
-        # superseded by a fresher snapshot) are discarded at pop time.
-        self._heap: List[Tuple[float, int]] = []
-        #: failed-assumption set of the most recent UNSAT-under-
-        #: assumptions solve() (empty after SAT/UNKNOWN returns)
-        self.conflict_assumptions: List[int] = []
-        self._seen: List[int] = [0]
-        #: id(learned clause) -> LBD recorded when the clause was learned
-        self._lbd: Dict[int, int] = {}
-
-    # ------------------------------------------------------------------
-    # Problem construction
-    # ------------------------------------------------------------------
-    def _ensure_var(self, var: int) -> None:
-        while self.num_vars < var:
-            self.num_vars += 1
-            self.assign.append(0)
-            self.level.append(0)
-            self.reason.append(None)
-            self.activity.append(0.0)
-            self.phase.append(self._initial_phase(self.num_vars))
-            self._seen.append(0)
-            if self._use_heap:
-                self._heap_insert(self.num_vars)
-
-    def add_clause(self, lits: Iterable[int]) -> bool:
-        """Add a problem clause; returns False if it is trivially conflicting.
-
-        May be called between solve() calls (incremental use); any
-        leftover search state is rolled back to decision level 0 first.
-        """
-        if not self.ok:
-            return False
-        if self.trail_lim:
-            self._backtrack(0)
-        clause = []
-        seen = set()
-        for lit in lits:
-            if lit == 0:
-                raise SatError("literal 0 is not allowed")
-            self._ensure_var(abs(lit))
-            if -lit in seen:
-                return True  # tautology
-            if lit in seen:
-                continue
-            seen.add(lit)
-            # At decision level 0 we can filter by the current assignment.
-            val = self.assign[abs(lit)]
-            if val != 0 and not self.trail_lim:
-                truth = (val == 1) == (lit > 0)
-                if truth:
-                    return True  # already satisfied
-                continue  # already falsified at level 0 -> drop literal
-            clause.append(lit)
-        if not clause:
-            self.ok = False
-            return False
-        if len(clause) == 1:
-            if not self._enqueue(clause[0], None):
-                self.ok = False
-                return False
-            conflict = self._propagate()
-            if conflict is not None:
-                self.ok = False
-                return False
-            return True
-        self.clauses.append(clause)
-        self._watch_clause(clause)
-        return True
-
-    def add_cnf(self, cnf: Cnf) -> None:
-        """Add every clause of a :class:`Cnf` formula."""
-        self._ensure_var(cnf.num_vars)
-        for clause in cnf.clauses:
-            self.add_clause(clause)
-
-    def _watch_clause(self, clause: List[int]) -> None:
-        self.watches.setdefault(clause[0], []).append(clause)
-        self.watches.setdefault(clause[1], []).append(clause)
-
-    # ------------------------------------------------------------------
-    # Assignment machinery
-    # ------------------------------------------------------------------
-    def _value(self, lit: int) -> int:
-        val = self.assign[abs(lit)]
-        if val == 0:
-            return 0
-        return val if lit > 0 else -val
-
-    def _enqueue(self, lit: int, reason: Optional[List[int]]) -> bool:
-        val = self._value(lit)
-        if val == 1:
-            return True
-        if val == -1:
-            return False
-        var = abs(lit)
-        self.assign[var] = 1 if lit > 0 else -1
-        self.level[var] = len(self.trail_lim)
-        self.reason[var] = reason
-        self.trail.append(lit)
-        return True
-
-    def _propagate(self) -> Optional[List[int]]:
-        """Unit propagation; returns a conflicting clause or None."""
-        while self.qhead < len(self.trail):
-            lit = self.trail[self.qhead]
-            self.qhead += 1
-            self.propagations += 1
-            false_lit = -lit
-            watchlist = self.watches.get(false_lit)
-            if not watchlist:
-                continue
-            new_watchlist = []
-            i = 0
-            n = len(watchlist)
-            conflict = None
-            while i < n:
-                clause = watchlist[i]
-                i += 1
-                # Normalize so clause[1] is the false literal.
-                if clause[0] == false_lit:
-                    clause[0], clause[1] = clause[1], clause[0]
-                first = clause[0]
-                val_first = self._value(first)
-                if val_first == 1:
-                    new_watchlist.append(clause)
-                    continue
-                # Look for a new watch.
-                found = False
-                for k in range(2, len(clause)):
-                    if self._value(clause[k]) != -1:
-                        clause[1], clause[k] = clause[k], clause[1]
-                        self.watches.setdefault(clause[1], []).append(clause)
-                        found = True
-                        break
-                if found:
-                    continue
-                new_watchlist.append(clause)
-                if val_first == -1:
-                    # Conflict: keep remaining watches then report.
-                    new_watchlist.extend(watchlist[i:])
-                    conflict = clause
-                    break
-                # Unit: enqueue first.
-                self.assign[abs(first)] = 1 if first > 0 else -1
-                self.level[abs(first)] = len(self.trail_lim)
-                self.reason[abs(first)] = clause
-                self.trail.append(first)
-            self.watches[false_lit] = new_watchlist
-            if conflict is not None:
-                return conflict
-        return None
-
-    # ------------------------------------------------------------------
-    # Conflict analysis
-    # ------------------------------------------------------------------
-    def _analyze(self, conflict: List[int]):
-        """First-UIP analysis; returns (learned_clause, backtrack_level)."""
-        seen = self._seen
-        learned = [0]  # placeholder for the asserting literal
-        counter = 0
-        lit = 0
-        clause = conflict
-        index = len(self.trail) - 1
-        current_level = len(self.trail_lim)
-        while True:
-            for q in clause if lit == 0 else clause[1:] if clause[0] == lit else [x for x in clause if x != lit]:
-                var = abs(q)
-                if not seen[var] and self.level[var] > 0:
-                    seen[var] = 1
-                    self._bump_var(var)
-                    if self.level[var] == current_level:
-                        counter += 1
-                    else:
-                        learned.append(q)
-            # Select next literal to expand from the trail.
-            while not seen[abs(self.trail[index])]:
-                index -= 1
-            lit = self.trail[index]
-            index -= 1
-            var = abs(lit)
-            seen[var] = 0
-            counter -= 1
-            if counter == 0:
-                learned[0] = -lit
-                break
-            clause = self.reason[var]
-            assert clause is not None
-        # Clear the marks left on literals that stayed in the clause.
-        for q in learned[1:]:
-            seen[abs(q)] = 0
-        # Clause minimization: drop a literal whose reason's other
-        # literals are all already (negated) in the learned clause or at
-        # level 0 — the classic "local" self-subsumption test.
-        learned_set = set(learned)
-        reduced = [learned[0]]
-        for q in learned[1:]:
-            reason = self.reason[abs(q)]
-            if reason is None:
-                reduced.append(q)
-                continue
-            implied = all(
-                abs(p) == abs(q) or p in learned_set or self.level[abs(p)] == 0
-                for p in reason
-            )
-            if not implied:
-                reduced.append(q)
-        learned = reduced
-        # Compute backtrack level.
-        if len(learned) == 1:
-            bt_level = 0
-        else:
-            max_i = 1
-            for i in range(2, len(learned)):
-                if self.level[abs(learned[i])] > self.level[abs(learned[max_i])]:
-                    max_i = i
-            learned[1], learned[max_i] = learned[max_i], learned[1]
-            bt_level = self.level[abs(learned[1])]
-        return learned, bt_level
-
-    @staticmethod
-    def _seen_in(learned: List[int], p: int) -> bool:
-        return p in learned or -p in learned
-
-    def _clause_lbd(self, clause: Sequence[int]) -> int:
-        levels = {self.level[abs(lit)] for lit in clause}
-        return len(levels)
-
-    def _backtrack(self, target_level: int) -> None:
-        use_heap = self._use_heap
-        heap = self._heap
-        activity = self.activity
-        heappush = heapq.heappush
-        while len(self.trail_lim) > target_level:
-            lim = self.trail_lim.pop()
-            for lit in self.trail[lim:]:
-                var = abs(lit)
-                self.phase[var] = lit > 0
-                self.assign[var] = 0
-                self.reason[var] = None
-                if use_heap:
-                    heappush(heap, (-activity[var], var))
-            del self.trail[lim:]
-        self.qhead = len(self.trail)
-        if use_heap and len(heap) > 4 * self.num_vars + 16:
-            self._heap_rebuild()
-
-    # ------------------------------------------------------------------
-    # Learned clause DB management
-    # ------------------------------------------------------------------
-    def _reduce_db(self) -> None:
-        if len(self.learned) < self.reduce_db_threshold:
-            return
-        lbd = self._lbd
-        scored = sorted(self.learned,
-                        key=lambda c: (lbd.get(id(c), len(c)), len(c)))
-        keep = set(map(id, scored[: len(scored) // 2]))
-        locked = set()
-        for var in range(1, self.num_vars + 1):
-            reason = self.reason[var]
-            if reason is not None:
-                locked.add(id(reason))
-        removed = [c for c in self.learned if id(c) not in keep and id(c) not in locked and len(c) > 2]
-        removed_ids = set(map(id, removed))
-        if not removed:
-            return
-        self.reductions += 1
-        self.learned = [c for c in self.learned if id(c) not in removed_ids]
-        for clause_id in removed_ids:
-            lbd.pop(clause_id, None)
-        # A live clause sits in exactly the two watchlists of its first
-        # two literals (the propagation invariant), so only the lists
-        # actually containing removed clauses need rebuilding — not
-        # every watchlist in the solver.
-        touched: Dict[int, set] = {}
-        for clause in removed:
-            touched.setdefault(clause[0], set()).add(id(clause))
-            touched.setdefault(clause[1], set()).add(id(clause))
-        for lit, ids in touched.items():
-            watchlist = self.watches.get(lit)
-            if watchlist:
-                self.watches[lit] = [c for c in watchlist if id(c) not in ids]
-
-    # ------------------------------------------------------------------
-    # Main search
-    # ------------------------------------------------------------------
-    def solve(self, assumptions: Sequence[int] = (), max_conflicts: Optional[int] = None,
-              deadline: Optional[float] = None, keep_levels: int = 0) -> str:
-        """Run CDCL search; returns SAT, UNSAT or UNKNOWN (budget hit).
-
-        ``assumptions`` are literals treated as temporary decisions; on
-        UNSAT caused by assumptions, :attr:`conflict_assumptions` holds a
-        subset of failed assumptions.  ``deadline`` is an absolute
-        ``time.perf_counter()`` instant: the search polls the clock
-        every few conflicts and returns UNKNOWN once it is past due.
-
-        ``keep_levels`` (used by :meth:`solve_batch`) retains that many
-        leading decision levels from the previous call instead of
-        restarting at level 0; the caller guarantees they correspond to
-        a shared prefix of the new assumption list.
-        """
-        # Reset before any early return: a caller inspecting the
-        # failed-assumption set after a timed-out call must not read
-        # the previous query's core.
-        self.conflict_assumptions = []
-        if deadline is not None and time.perf_counter() >= deadline:
-            return UNKNOWN
-        if not self.ok:
-            return UNSAT
-        if keep_levels:
-            keep_levels = min(keep_levels, len(self.trail_lim))
-        self._backtrack(keep_levels if keep_levels else 0)
-        conflict = self._propagate()
-        if conflict is not None:
-            if self.trail_lim:
-                # A conflict while kept assumption levels are still on
-                # the trail (possible only if clauses were added since
-                # the previous call) is not a global UNSAT: retry from
-                # level 0 before concluding anything.
-                self._backtrack(0)
-                conflict = self._propagate()
-            if conflict is not None:
-                self.ok = False
-                return UNSAT
-        assumptions = list(assumptions)
-        for lit in assumptions:
-            self._ensure_var(abs(lit))
-        conflict_budget = max_conflicts if max_conflicts is not None else self.max_conflicts
-        start_conflicts = self.conflicts
-        restart_num = 1
-        restart_limit = self.restart_base * luby(restart_num)
-        conflicts_since_restart = 0
-        while True:
-            conflict = self._propagate()
-            if conflict is not None:
-                self.conflicts += 1
-                conflicts_since_restart += 1
-                if not self.trail_lim:
-                    self.ok = False
-                    return UNSAT
-                learned, bt_level = self._analyze(conflict)
-                # If the conflict is above assumption levels we may need
-                # to backtrack into the assumptions: handle by returning
-                # UNSAT-under-assumptions when the asserting literal
-                # contradicts an assumption chain at level <= #assumptions.
-                self._backtrack(bt_level)
-                if len(learned) == 1:
-                    if not self._enqueue(learned[0], None):
-                        self.ok = False
-                        return UNSAT
-                else:
-                    # Record the LBD now, while the literals still carry
-                    # their conflict-time decision levels, instead of
-                    # recomputing it from stale levels at reduce time.
-                    self._lbd[id(learned)] = self._clause_lbd(learned)
-                    self.learned.append(learned)
-                    self._watch_clause(learned)
-                    self._enqueue(learned[0], learned)
-                self.var_inc /= self.var_decay
-                if conflict_budget is not None and self.conflicts - start_conflicts >= conflict_budget:
-                    self._backtrack(0)
-                    return UNKNOWN
-                # Poll the wall clock only every 16 conflicts: a
-                # perf_counter() call per conflict is measurable on the
-                # hot path, and deadline precision is not.
-                if deadline is not None and self.conflicts % 16 == 0 \
-                        and time.perf_counter() >= deadline:
-                    self._backtrack(0)
-                    return UNKNOWN
-                if conflicts_since_restart >= restart_limit:
-                    restart_num += 1
-                    restart_limit = self.restart_base * luby(restart_num)
-                    conflicts_since_restart = 0
-                    self._backtrack(0)
-                self._reduce_db()
-                continue
-            # Place assumptions as pseudo-decisions first.
-            if len(self.trail_lim) < len(assumptions):
-                lit = assumptions[len(self.trail_lim)]
-                val = self._value(lit)
-                if val == 1:
-                    # Already implied; introduce an empty decision level
-                    # to keep the level <-> assumption index alignment.
-                    self.trail_lim.append(len(self.trail))
-                    continue
-                if val == -1:
-                    self.conflict_assumptions = self._analyze_final(lit)
-                    self._backtrack(0)
-                    return UNSAT
-                self.decisions += 1
-                self.trail_lim.append(len(self.trail))
-                self._enqueue(lit, None)
-                continue
-            var = self._pick_branch_var()
-            if var == 0:
-                return SAT
-            self.decisions += 1
-            self.trail_lim.append(len(self.trail))
-            lit = var if self.phase[var] else -var
-            self._enqueue(lit, None)
-
-    def _analyze_final(self, failed_lit: int) -> List[int]:
-        """Compute a set of assumptions responsible for falsifying ``failed_lit``."""
-        out = [failed_lit]
-        seen = set()
-        stack = [abs(failed_lit)]
-        while stack:
-            var = stack.pop()
-            if var in seen:
-                continue
-            seen.add(var)
-            reason = self.reason[var]
-            if reason is None:
-                if self.level[var] > 0:
-                    out.append(var if self.assign[var] == 1 else -var)
-            else:
-                for lit in reason:
-                    if abs(lit) != var:
-                        stack.append(abs(lit))
-        return out
-
-    # ------------------------------------------------------------------
-    # Model access
-    # ------------------------------------------------------------------
-    def model_value(self, lit: int) -> bool:
-        """Value of a literal in the satisfying assignment (after SAT)."""
-        val = self._value(lit)
-        # Unassigned variables are don't-cares; report False.
-        return val == 1
-
-    def model(self) -> List[int]:
-        """The full model as a list of literals (after SAT)."""
-        out = []
-        for var in range(1, self.num_vars + 1):
-            out.append(var if self.assign[var] == 1 else -var)
-        return out
-
-    def arena_bytes(self) -> int:
-        """Bytes held by the packed clause arena (0: this is the
-        per-clause object core — the counter exists so ``--profile-sat``
-        reads uniformly across cores)."""
-        return 0
-
-
 def solve_cnf(cnf: Cnf, assumptions: Sequence[int] = (), max_conflicts: Optional[int] = None):
     """One-shot convenience: solve a :class:`Cnf`, returning (status, solver)."""
-    solver = Solver()
+    from .arena import ArenaSolver  # arena builds on this module's mixins
+    solver = ArenaSolver()
     solver.add_cnf(cnf)
     status = solver.solve(assumptions=assumptions, max_conflicts=max_conflicts)
     return status, solver

@@ -16,8 +16,8 @@ artifacts, so crash recovery is indistinguishable from slowness.
 between jobs — the reason ``repro serve`` exists:
 
 * elaborated design netlists (``parse`` once, reuse for every synth);
-* one :class:`~repro.formal.PropertyChecker` per (design, bound, k,
-  engine), whose retained solvers and in-memory BlastCache survive
+* one :class:`~repro.formal.PropertyChecker` per (design, bound, k),
+  whose retained solvers and in-memory BlastCache survive
   across jobs;
 * the persistent store tier (:mod:`repro.service.caches`), so verdict
   and bitblast reuse also crosses process and daemon restarts.
@@ -45,7 +45,7 @@ BENCH_WORKLOADS = ("check", "synth")
 _PARAM_DEFAULTS: Dict[str, Dict[str, object]] = {
     "parse": {"design": "multi"},
     "synth": {"design": "multi", "bound": None, "max_k": None,
-              "candidates": None, "engine": "incremental", "timeout": None},
+              "candidates": None, "timeout": None},
     "check": {"model_text": None, "tests": None, "engine": "fresh",
               "timeout": None, "shards": None},
     "sweep": {"model_text": None, "threads": 2, "length": 2, "limit": None,
@@ -180,16 +180,16 @@ class WorkerContext:
             self._presets[design] = design_preset(design)
         return self._presets[design]
 
-    def checker(self, design: str, bound: int, max_k: int, engine: str,
+    def checker(self, design: str, bound: int, max_k: int,
                 timeout: Optional[float]):
         """One caching checker per problem shape, kept warm across
         jobs.  Its blast cache and verdict cache are store-backed, so a
         cold *process* still starts warm from disk."""
-        key = (design, bound, max_k, engine)
+        key = (design, bound, max_k)
         if key not in self._checkers:
             from ..formal import CachingPropertyChecker, PropertyChecker
             engine_checker = PropertyChecker(
-                bound=bound, max_k=max_k, engine=engine,
+                bound=bound, max_k=max_k,
                 blast_cache=PersistentBlastCache(self.store,
                                                  self.blast_capacity))
             self._checkers[key] = CachingPropertyChecker(
@@ -269,7 +269,7 @@ def _run_synth(params: Dict, ctx: WorkerContext):
     if params["candidates"] is not None:
         candidates = params["candidates"]
     checker = ctx.checker(params["design"], bound, max_k,
-                          params["engine"], params["timeout"])
+                          params["timeout"])
     with Rtl2Uspec(sim_netlist, formal_netlist, metadata,
                    checker=checker, formal_cores=formal_cores,
                    candidate_filter=candidates, jobs=1) as synthesizer:
@@ -394,9 +394,7 @@ def _run_bench(params: Dict, ctx: WorkerContext):
     times_ms: list = []
     if params["workload"] == "synth":
         inner = {"design": params["design"], "bound": None, "max_k": None,
-                 "candidates": None,
-                 "engine": params["engine"] or "incremental",
-                 "timeout": params["timeout"]}
+                 "candidates": None, "timeout": params["timeout"]}
         summary = {}
         for _ in range(repeat):
             started = time.perf_counter()

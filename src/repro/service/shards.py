@@ -186,7 +186,7 @@ def sweep_payload_bytes(payload: Dict) -> bytes:
 
 
 def check_report_bytes(report: Dict) -> bytes:
-    """Serialize one ``repro-check-suite/3`` report (same sharing)."""
+    """Serialize one ``repro-check-suite/4`` report (same sharing)."""
     return _artifact_bytes(report)
 
 
@@ -203,15 +203,14 @@ def check_digest_from_entries(entries: Sequence[Dict]) -> str:
 
 def assemble_check_report(entries: Sequence[Dict], engine: str,
                           engine_used: str) -> Dict:
-    """Rebuild the deterministic ``repro-check-suite/3`` report from
+    """Rebuild the deterministic ``repro-check-suite/4`` report from
     per-test entries (the shape :func:`suite_report_json` emits with
     ``deterministic=True`` and the service's fixed ``model`` label)."""
     return {
-        "schema": "repro-check-suite/3",
+        "schema": "repro-check-suite/4",
         "model": "submitted",
         "engine": engine,
         "engine_used": engine_used or engine,
-        "sat_core": "",
         "digest": check_digest_from_entries(entries),
         "failures": sum(1 for e in entries
                         if e["status"] == "DECIDED" and e["observable"]

@@ -48,7 +48,7 @@ class TestCleanPipeline:
         assert len(result.digest) == 64
         assert result.stages_resumed == []
         report = json.loads(open(result.report_path).read())
-        assert report["schema"] == "repro-check-suite/3"
+        assert report["schema"] == "repro-check-suite/4"
         assert report["digest"] == result.digest
         assert report["model"] == "model.uarch"  # no state-dir path leak
         assert "time_ms" not in report["tests"][0]  # deterministic bytes

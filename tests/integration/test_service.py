@@ -113,9 +113,30 @@ def warm_daemon(tmp_path_factory):
     """One daemon shared by the tests that exercise a live fleet."""
     state_dir = tmp_path_factory.mktemp("serve-state")
     proc, client = _spawn_daemon(state_dir)
-    shared = {}
+    shared = {"store_root": str(state_dir / "store")}
     yield client, shared
     _stop_daemon(proc, client)
+
+
+@pytest.fixture(scope="module")
+def synth_store(warm_daemon):
+    """(store root, verdict digest) of the warm daemon once a synth job
+    has finished on it.
+
+    The crash-resume and backpressure tests start daemons on fresh
+    state dirs (own ledger, own queue) that share this store through
+    ``--store-root``.  What they need is a synth job that is still
+    running when they act; on the shared store it reuses the stored
+    blasts and verdicts and takes seconds, where a cold store would
+    repeat the full-corpus run that TestServiceParity already covers.
+    """
+    client, shared = warm_daemon
+    if "synth_digest" not in shared:
+        job = client.submit("synth", {"design": "multi"})
+        result = client.wait(job, timeout=600)
+        assert result["state"] == "done"
+        shared["synth_digest"] = result["result"]["verdict_digest"]
+    return shared["store_root"], shared["synth_digest"]
 
 
 # ----------------------------------------------------------------------
@@ -166,9 +187,10 @@ class TestServiceParity:
 
 class TestDaemonCrashResume:
     def test_kill9_restart_resumes_to_identical_artifact(
-            self, tmp_path, check_oracle):
+            self, tmp_path, check_oracle, synth_store):
+        store_root, synth_digest = synth_store
         state_dir = tmp_path / "serve-state"
-        proc, client = _spawn_daemon(state_dir)
+        proc, client = _spawn_daemon(state_dir, "--store-root", store_root)
         try:
             synth_job = client.submit("synth", {"design": "multi"})
             check_job = client.submit("check", {"tests": TESTS})
@@ -194,9 +216,12 @@ class TestDaemonCrashResume:
             assert {synth_job, check_job} <= submits
             assert synth_job not in dones  # killed mid-job
 
-            proc, client = _spawn_daemon(state_dir)
+            proc, client = _spawn_daemon(state_dir,
+                                         "--store-root", store_root)
             results = client.wait_all([synth_job, check_job], timeout=600)
             assert results[synth_job]["state"] == "done"
+            assert results[synth_job]["result"]["verdict_digest"] == \
+                synth_digest
             assert results[check_job]["state"] == "done"
             _summary, artifact = check_oracle
             with open(results[check_job]["artifact"], "rb") as handle:
@@ -208,9 +233,11 @@ class TestDaemonCrashResume:
 
 
 class TestBackpressure:
-    def test_full_queue_refuses_with_retryable_error(self, tmp_path):
+    def test_full_queue_refuses_with_retryable_error(self, tmp_path,
+                                                     synth_store):
         proc, client = _spawn_daemon(tmp_path / "serve-state",
-                                     "--max-queue", "1")
+                                     "--max-queue", "1",
+                                     "--store-root", synth_store[0])
         try:
             running = client.submit("synth", {"design": "multi"})
             _wait_for_state(client, running, "running")
@@ -226,11 +253,13 @@ class TestBackpressure:
         finally:
             _stop_daemon(proc, client)
 
-    def test_draining_daemon_refuses_submissions(self, tmp_path):
+    def test_draining_daemon_refuses_submissions(self, tmp_path,
+                                                 synth_store):
         """SIGTERM-style drain: running work finishes, new work is
         refused retryably, then the daemon exits cleanly."""
         state_dir = tmp_path / "serve-state"
-        proc, client = _spawn_daemon(state_dir)
+        proc, client = _spawn_daemon(state_dir,
+                                     "--store-root", synth_store[0])
         try:
             running = client.submit("synth", {"design": "multi"})
             _wait_for_state(client, running, "running")

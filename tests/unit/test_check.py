@@ -180,11 +180,9 @@ class TestEngineResolution:
     def test_resolvers(self):
         from repro.check import resolve_suite_engine, resolve_sweep_engine
         assert resolve_suite_engine("auto") == "fresh"
-        assert resolve_suite_engine("incremental-seq") == "incremental"
         assert resolve_suite_engine("fresh") == "fresh"
         assert resolve_suite_engine("incremental") == "incremental"
         assert resolve_sweep_engine("auto") == "incremental"
-        assert resolve_sweep_engine("incremental-seq") == "incremental-seq"
         assert resolve_sweep_engine("fresh") == "fresh"
 
     def test_checker_records_engine_used(self):
@@ -203,10 +201,10 @@ class TestEngineResolution:
         assert run.engine_used == "fresh"
         report = suite_report_json(run.verdicts, engine="auto",
                                    engine_used=run.engine_used,
-                                   sat_core="arena", profile_sat=True)
-        assert report["schema"] == "repro-check-suite/3"
+                                   profile_sat=True)
+        assert report["schema"] == "repro-check-suite/4"
         assert report["engine_used"] == "fresh"
-        assert report["sat_core"] == "arena"
+        assert "sat_core" not in report
         assert report["sat_profile"]["sat_propagations"] > 0
 
     def test_auto_and_explicit_engines_verdict_identical(self):
@@ -216,8 +214,7 @@ class TestEngineResolution:
         digests = {
             engine: suite_digest(run_suite(model, tests,
                                            engine=engine).verdicts)
-            for engine in ("auto", "fresh", "incremental",
-                           "incremental-seq")
+            for engine in ("auto", "fresh", "incremental")
         }
         assert len(set(digests.values())) == 1, digests
 

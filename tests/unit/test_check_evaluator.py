@@ -7,7 +7,7 @@ from repro.check.instance import GroundContext
 from repro.errors import CheckError
 from repro.litmus import LitmusTest, suite_by_name
 from repro.mcm.events import R, W
-from repro.sat import Solver
+from repro.sat import ArenaSolver
 from repro.uspec import (
     AddEdge,
     And,
@@ -72,7 +72,7 @@ class TestEdgeVariables:
         evaluator = ModelEvaluator(tiny_model(), mp_ctx)
         fwd = evaluator.edge_var((0, "mem"), (1, "mem"))
         rev = evaluator.edge_var((1, "mem"), (0, "mem"))
-        solver = Solver()
+        solver = ArenaSolver()
         solver.add_cnf(evaluator.cnf)
         assert solver.solve(assumptions=[fwd, rev]) == "UNSAT"
 

@@ -216,13 +216,3 @@ class TestDecideBatch:
                 assert result.graph is not None and result.graph.edges
             else:
                 assert result.graph is None
-
-    def test_object_core_parity(self, hand_model):
-        test = suite_by_name()["sb"]
-        conditions = [(((0, "r1"), a), ((1, "r2"), b))
-                      for a in (0, 1) for b in (0, 1)]
-        arena = ProgramSolver(hand_model, test, sat_core="arena")
-        obj = ProgramSolver(hand_model, test, sat_core="object")
-        got_a = [r.observable for r in arena.decide_batch(conditions)]
-        got_o = [r.observable for r in obj.decide_batch(conditions)]
-        assert got_a == got_o

@@ -22,7 +22,7 @@ from repro.check.solver import (
 )
 from repro.litmus import LitmusTest, suite_by_name
 from repro.mcm.events import R, W
-from repro.sat import SAT, UNSAT, Cnf, make_solver
+from repro.sat import SAT, UNSAT, ArenaSolver, Cnf
 from repro.uspec import AddEdge, Axiom, Forall, Implies, Model, Node, Pred
 
 from .test_check import sc_hand_model
@@ -126,7 +126,7 @@ class TestEncodingOracle:
     def test_sat_iff_acyclic_choice_exists(self, seed):
         edges, forcing, requirements = random_instance(seed)
         cnf, edge_vars, _, _ = encode(edges, forcing, requirements)
-        solver = make_solver()
+        solver = ArenaSolver()
         solver.add_cnf(cnf)
         status = solver.solve()
         assert status in (SAT, UNSAT)

@@ -110,9 +110,9 @@ def test_check_report_json(capsys, reference_model, tmp_path):
     assert main(["check", "mp", "sb", "--report-json", str(path)]) == 0
     import json
     report = json.loads(path.read_text())
-    assert report["schema"] == "repro-check-suite/3"
+    assert report["schema"] == "repro-check-suite/4"
     assert report["engine_used"] == "fresh"  # the suite's auto default
-    assert report["sat_core"] == "arena"
+    assert "sat_core" not in report
     assert report["undecided"] == 0
     assert report["failures"] == 0
     assert len(report["digest"]) == 64

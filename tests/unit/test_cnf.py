@@ -5,7 +5,7 @@ import itertools
 import pytest
 
 from repro.errors import SatError
-from repro.sat import SAT, UNSAT, Cnf, Solver
+from repro.sat import SAT, UNSAT, ArenaSolver, Cnf
 
 
 def check_gate(encode, semantics, arity):
@@ -14,7 +14,7 @@ def check_gate(encode, semantics, arity):
         cnf = Cnf()
         inputs = cnf.new_vars(arity)
         out = encode(cnf, inputs)
-        solver = Solver()
+        solver = ArenaSolver()
         solver.add_cnf(cnf)
         assumptions = [v if val else -v for v, val in zip(inputs, values)]
         assert solver.solve(assumptions=assumptions) == SAT
@@ -47,7 +47,7 @@ class TestGateEncodings:
     def test_empty_and_is_true(self):
         cnf = Cnf()
         out = cnf.encode_and([])
-        solver = Solver()
+        solver = ArenaSolver()
         solver.add_cnf(cnf)
         assert solver.solve() == SAT
         assert solver.model_value(out)
@@ -55,7 +55,7 @@ class TestGateEncodings:
     def test_empty_or_is_false(self):
         cnf = Cnf()
         out = cnf.encode_or([])
-        solver = Solver()
+        solver = ArenaSolver()
         solver.add_cnf(cnf)
         assert solver.solve() == SAT
         assert not solver.model_value(out)
@@ -72,7 +72,7 @@ class TestConstants:
         cnf = Cnf()
         t = cnf.true_lit
         assert cnf.false_lit == -t
-        solver = Solver()
+        solver = ArenaSolver()
         solver.add_cnf(cnf)
         assert solver.solve() == SAT
         assert solver.model_value(t)

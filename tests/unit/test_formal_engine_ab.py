@@ -1,9 +1,12 @@
-"""Unit A/B tests: the incremental engine vs the one-shot seed path.
+"""Unit tests: the formal engine's pinned verdicts and the shared
+bitblast cache.
 
-Same problems, both engines, every verdict field that the synthesizer
-or the journal consumes must match — plus the :class:`BlastCache`
-mechanics (content keying, LRU eviction, pickle hygiene) the shared
-front half rides on.
+Every verdict field that the synthesizer or the journal consumes is
+pinned on a small counter design, through both checker entry points
+(``check`` with keyword budgets and the pool workers'
+``check_problem`` with a :class:`CheckParams`) — plus the
+:class:`BlastCache` mechanics (content keying, LRU eviction, pickle
+hygiene) the shared front half rides on.
 """
 
 import pickle
@@ -16,11 +19,11 @@ from repro.formal import (
     REFUTED,
     UNKNOWN,
     BlastCache,
+    CheckParams,
     PropertyChecker,
     SafetyProblem,
 )
 from repro.verilog import compile_verilog
-
 COUNTER_SRC = """
 module counter(
     input wire clk,
@@ -45,9 +48,17 @@ def counter_netlist():
     return compile_verilog(COUNTER_SRC, "counter")
 
 
-def both_engines(**kwargs):
-    return [PropertyChecker(engine=engine, **kwargs)
-            for engine in ("oneshot", "incremental")]
+def both_entry_points(problem, bound, max_k, prove=True,
+                      timeout_seconds=None, max_conflicts=None):
+    """The verdict of ``problem`` via ``check`` and via
+    ``check_problem``, each on a fresh checker."""
+    via_check = PropertyChecker(bound=bound, max_k=max_k).check(
+        problem, prove=prove, timeout_seconds=timeout_seconds,
+        max_conflicts=max_conflicts)
+    via_params = PropertyChecker(bound=bound, max_k=max_k).check_problem(
+        problem, CheckParams(prove=prove, timeout_seconds=timeout_seconds,
+                             max_conflicts=max_conflicts))
+    return [via_check, via_params]
 
 
 def verdict_key(verdict):
@@ -57,33 +68,29 @@ def verdict_key(verdict):
 
 class TestEngineAgreement:
     def test_proven_by_induction(self, counter_netlist):
-        keys = [verdict_key(c.check(SafetyProblem(counter_netlist, [], ["le10"])))
-                for c in both_engines(bound=12, max_k=4)]
+        keys = [verdict_key(v) for v in both_entry_points(
+            SafetyProblem(counter_netlist, [], ["le10"]), bound=12, max_k=4)]
         assert keys[0] == keys[1]
         assert keys[0][0] == PROVEN
-        assert keys[0][3] == 1  # same induction depth
+        assert keys[0][3] == 1  # inductive at depth 1
 
     def test_refuted_with_a_valid_trace_on_both(self, counter_netlist):
-        oneshot, incremental = [
-            c.check(SafetyProblem(counter_netlist, [], ["le9"]))
-            for c in both_engines(bound=14, max_k=4)]
-        assert oneshot.status == incremental.status == REFUTED
-        for v in (oneshot, incremental):
+        verdicts = both_entry_points(
+            SafetyProblem(counter_netlist, [], ["le9"]), bound=14, max_k=4)
+        for v in verdicts:
+            assert v.status == REFUTED
             assert v.trace.value("count", v.trace.fail_cycle) == 10
             assert v.trace.value("reset", 0) == 1
-        # The incremental engine stops at the first failing frame, so
-        # its witness is the *minimal* counterexample (cycle 11 here:
-        # one reset cycle + ten increments); the one-shot disjunction
-        # may report any failing cycle within the bound.
-        assert incremental.trace.fail_cycle == 11
-        assert incremental.trace.fail_cycle <= oneshot.trace.fail_cycle
-        # And it never encoded the frames beyond the failure.
-        assert incremental.trace.length <= oneshot.trace.length
+            # BMC stops at the first failing frame, so the witness is
+            # the *minimal* counterexample (cycle 11: one reset cycle +
+            # ten increments), and no frame beyond it is encoded.
+            assert v.trace.fail_cycle == 11
+            assert v.trace.length == 12
 
     def test_bounded_clean_below_the_bug(self, counter_netlist):
-        keys = [verdict_key(c.check(SafetyProblem(counter_netlist, [], ["le9"]),
-                                    prove=False))
-                for c in both_engines(bound=5, max_k=0)]
+        keys = [verdict_key(v) for v in both_entry_points(
+            SafetyProblem(counter_netlist, [], ["le9"]), bound=5, max_k=0,
+            prove=False)]
         assert keys[0] == keys[1]
         assert keys[0][0] == PROVEN_BOUNDED
 
@@ -91,15 +98,15 @@ class TestEngineAgreement:
         nl = counter_netlist.copy()
         nl.add_wire("not_en", 1)
         nl.add_cell("not", ["en"], "not_en")
-        keys = [verdict_key(c.check(SafetyProblem(nl, ["not_en"], ["le9"])))
-                for c in both_engines(bound=14, max_k=4)]
+        keys = [verdict_key(v) for v in both_entry_points(
+            SafetyProblem(nl, ["not_en"], ["le9"]), bound=14, max_k=4)]
         assert keys[0] == keys[1]
         assert keys[0][0] == PROVEN
 
     def test_exhausted_timeout_is_unknown_on_both(self, counter_netlist):
-        for checker in both_engines(bound=14, max_k=2):
-            verdict = checker.check(SafetyProblem(counter_netlist, [], ["le9"]),
-                                    timeout_seconds=0.0)
+        for verdict in both_entry_points(
+                SafetyProblem(counter_netlist, [], ["le9"]), bound=14,
+                max_k=2, timeout_seconds=0.0):
             assert verdict.status == UNKNOWN
             assert verdict.reason == "timeout"
 
@@ -113,23 +120,16 @@ module m(input wire clk, input wire reset, input wire [15:0] a,
 endmodule
 """
         nl = compile_verilog(src, "m")
-        for checker in both_engines(bound=6, max_k=0):
-            verdict = checker.check(SafetyProblem(nl, [], ["ok"]),
-                                    max_conflicts=1, prove=False)
+        for verdict in both_entry_points(
+                SafetyProblem(nl, [], ["ok"]), bound=6, max_k=0,
+                prove=False, max_conflicts=1):
             assert verdict.status in (UNKNOWN, PROVEN_BOUNDED)
             if verdict.status == UNKNOWN:
                 assert verdict.reason == "conflict-budget"
 
-    def test_scan_order_matches_heap_order(self, counter_netlist):
-        keys = [verdict_key(PropertyChecker(bound=14, max_k=4,
-                                            sat_order=order)
-                            .check(SafetyProblem(counter_netlist, [], ["le10"])))
-                for order in ("heap", "scan")]
-        assert keys[0] == keys[1]
-
     def test_invalid_engine_rejected(self):
-        with pytest.raises(ValueError):
-            PropertyChecker(engine="warp-drive")
+        with pytest.raises(TypeError):
+            PropertyChecker(engine="incremental")
 
 
 class TestBlastCache:
@@ -164,7 +164,7 @@ class TestBlastCache:
         checker.check(SafetyProblem(counter_netlist, [], ["le10"]))
         assert len(checker._blast_cache) == 1
         clone = pickle.loads(pickle.dumps(checker))
-        assert clone.share_bitblast and len(clone._blast_cache) == 0
+        assert len(clone._blast_cache) == 0
         # The clone still checks correctly and warms its own cache.
         verdict = clone.check(SafetyProblem(counter_netlist, [], ["le10"]))
         assert verdict.status == PROVEN

@@ -94,7 +94,7 @@ class TestPortfolioConfigs:
         checker = PropertyChecker(phase_seed=9, restart_base=42,
                                   portfolio=4)
         configs = portfolio_configs(checker, 4)
-        assert configs[0] == (9, 42, "heap")
+        assert configs[0] == (9, 42)
         assert len(configs) == 4
 
     def test_configs_are_deterministic_and_diverse(self):
@@ -102,14 +102,12 @@ class TestPortfolioConfigs:
         a = portfolio_configs(checker, 12)
         b = portfolio_configs(checker, 12)
         assert a == b
-        seeds = [seed for seed, _, _ in a]
+        seeds = [seed for seed, _ in a]
         assert len(set(seeds)) == len(seeds)  # no duplicate phase seeds
 
     def test_portfolio_validated(self):
         with pytest.raises(Exception):
             PropertyChecker(portfolio=0)
-        with pytest.raises(Exception):
-            PropertyChecker(sat_core="bogus")
 
 
 # ----------------------------------------------------------------------

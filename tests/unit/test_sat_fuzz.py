@@ -1,23 +1,36 @@
 """Random-CNF fuzz suite: the CDCL solver vs brute-force enumeration.
 
-Every instance is decided twice — by :class:`repro.sat.Solver` with its
-stress knobs cranked (``restart_base=1`` so restarts fire constantly,
-``reduce_db_threshold=1`` so every learned clause triggers a database
-reduction) and by exhaustive assignment enumeration — and the answers
-must agree.  The same harness fuzzes solving under assumptions,
-incremental clause addition between solves, and the heap-vs-scan branch
-orders (which the solver docstring promises are trajectory-identical).
+Every instance is decided twice — by :class:`repro.sat.ArenaSolver`
+with its stress knobs cranked (``restart_base=1`` so restarts fire
+constantly, ``reduce_db_threshold=1`` so every learned clause triggers
+a database reduction) and by exhaustive assignment enumeration — and
+the answers must agree.  The same harness fuzzes solving under
+assumptions, incremental clause addition between solves, and batched
+assumption solving; golden pins freeze the search trajectory itself.
 
 Seeded ``random.Random`` throughout: a failure reproduces from the
 printed (seed, round) pair.
 """
 
+import hashlib
 import random
 
-from repro.sat import SAT, UNSAT, Cnf, Solver, make_solver
+from repro.sat import SAT, UNSAT, ArenaSolver
 
 NUM_VARS = 8
 ROUNDS = 60
+
+#: sha256 of each seeded corpus's trajectory rows (see TestTrajectoryPins)
+PINS = {
+    "plain":
+        "dc673575011ed96eb77f1396cee8288356e2e39b42a44231c3680d77c28996ac",
+    "assumptions":
+        "4b1d5b33c31ad18c5e281239bdccc9d9641ff3c3d2fb26dce088a2529cf406df",
+    "incremental":
+        "5649bef8c0c09b819ac1376bda647a34f70f3aecf5be899321cca4582bacd6cc",
+}
+#: (status, conflicts, decisions, propagations, reductions) on PHP(6,5)
+PHP_TRAJECTORY = ("UNSAT", 990, 3673, 15146, 611)
 
 
 def random_cnf(rng, num_vars=NUM_VARS):
@@ -52,8 +65,8 @@ def brute_force(clauses, num_vars, assumptions=()):
     return False
 
 
-def stressed_solver(order="heap", core="object"):
-    solver = make_solver(order=order, core=core)
+def stressed_solver():
+    solver = ArenaSolver()
     solver.restart_base = 1        # restart after (almost) every conflict
     solver.reduce_db_threshold = 1  # reduce the learned DB at every check
     return solver
@@ -130,135 +143,115 @@ class TestFuzzAgainstBruteForce:
                     break  # UNSAT is permanent for a monotone formula
 
 
-class TestHeapMatchesScan:
-    def test_identical_status_and_trajectory(self):
-        """order="heap" must make the same decisions as the seed's
-        linear scan: same status, same conflict/decision counts."""
-        rng = random.Random(0xD00D)
-        for round_no in range(ROUNDS // 2):
-            clauses = random_cnf(rng)
-            results = {}
-            for order in ("heap", "scan"):
-                solver = stressed_solver(order=order)
-                for cl in clauses:
-                    solver.add_clause(cl)
-                status = solver.solve()
-                results[order] = (status, solver.conflicts, solver.decisions,
-                                  solver.propagations)
-            assert results["heap"] == results["scan"], \
-                f"seed=0xD00D round={round_no}: {results}"
+def trajectory(status, solver):
+    return (status, solver.conflicts, solver.decisions,
+            solver.propagations, solver.reductions)
 
 
-class TestArenaMatchesObject:
-    """The packed-arena core must replay the object core's search
-    bit for bit: same statuses, same conflict/decision/propagation/
-    reduction counts, same models, same failed-assumption sets — with
-    restarts and DB reduction firing constantly and assumption queries
-    reusing the retained solvers."""
+def trajectory_digest(rows):
+    return hashlib.sha256(repr(rows).encode("utf-8")).hexdigest()
 
-    def _pair(self, order="heap"):
-        return (stressed_solver(order=order, core="arena"),
-                stressed_solver(order=order, core="object"))
 
-    @staticmethod
-    def _trajectory(solver):
-        return (solver.conflicts, solver.decisions, solver.propagations,
-                solver.reductions)
+def plain_corpus_rows():
+    """One solve per random formula."""
+    rng = random.Random(0xD00D)
+    rows = []
+    for _ in range(ROUNDS // 2):
+        solver = stressed_solver()
+        for cl in random_cnf(rng):
+            solver.add_clause(cl)
+        rows.append(trajectory(solver.solve(), solver))
+    return rows
 
-    def test_identical_trajectory_with_assumptions(self):
-        rng = random.Random(0xA12E7A)
-        for round_no in range(ROUNDS):
-            clauses = random_cnf(rng)
-            arena, obj = self._pair()
-            for cl in clauses:
-                arena.add_clause(list(cl))
-                obj.add_clause(list(cl))
-            queries = [[]]
-            for _ in range(3):
-                k = rng.randint(0, 3)
-                vs = rng.sample(range(1, NUM_VARS + 1), k)
-                queries.append([v if rng.random() < 0.5 else -v for v in vs])
-            for assumptions in queries:
-                sa = arena.solve(assumptions=list(assumptions))
-                so = obj.solve(assumptions=list(assumptions))
-                context = f"seed=0xA12E7A round={round_no} " \
-                          f"assume={assumptions}"
-                assert sa == so, context
-                assert self._trajectory(arena) == self._trajectory(obj), \
-                    context
-                if sa == SAT:
-                    assert [arena.model_value(v)
-                            for v in range(1, arena.num_vars + 1)] == \
-                           [obj.model_value(v)
-                            for v in range(1, obj.num_vars + 1)], context
-                elif sa == UNSAT:
-                    assert sorted(arena.conflict_assumptions) == \
-                        sorted(obj.conflict_assumptions), context
-                if not arena.ok:
-                    break
 
-    def test_identical_trajectory_incremental_rounds(self):
-        """Clause addition between solves (the BMC pattern) must keep
-        the cores in lockstep across the arena compaction boundary."""
-        rng = random.Random(0x5EC0DD)
-        for round_no in range(ROUNDS // 2):
-            clauses = random_cnf(rng)
-            arena, obj = self._pair()
-            third = max(1, len(clauses) // 3)
-            for start in range(0, len(clauses), third):
-                for cl in clauses[start:start + third]:
-                    arena.add_clause(list(cl))
-                    obj.add_clause(list(cl))
-                sa = arena.solve()
-                so = obj.solve()
-                assert sa == so, f"seed=0x5EC0DD round={round_no}"
-                assert self._trajectory(arena) == self._trajectory(obj), \
-                    f"seed=0x5EC0DD round={round_no}"
-                if sa == UNSAT:
-                    break
+def assumption_corpus_rows():
+    """Four assumption queries against one retained solver per
+    formula, so learned clauses from earlier queries steer later ones."""
+    rng = random.Random(0xA12E7A)
+    rows = []
+    for _ in range(ROUNDS):
+        clauses = random_cnf(rng)
+        solver = stressed_solver()
+        for cl in clauses:
+            solver.add_clause(list(cl))
+        queries = [[]]
+        for _ in range(3):
+            k = rng.randint(0, 3)
+            vs = rng.sample(range(1, NUM_VARS + 1), k)
+            queries.append([v if rng.random() < 0.5 else -v for v in vs])
+        for assumptions in queries:
+            status = solver.solve(assumptions=list(assumptions))
+            rows.append(trajectory(status, solver))
+            if not solver.ok:
+                break
+    return rows
 
-    def test_scan_order_also_matches(self):
-        """Both A/B axes at once: core x order stay on one trajectory
-        per order (the order changes the path, the core never does)."""
-        rng = random.Random(0x08DE8)
-        for round_no in range(ROUNDS // 3):
-            clauses = random_cnf(rng)
-            for order in ("heap", "scan"):
-                arena, obj = self._pair(order=order)
-                for cl in clauses:
-                    arena.add_clause(list(cl))
-                    obj.add_clause(list(cl))
-                assert arena.solve() == obj.solve()
-                assert self._trajectory(arena) == self._trajectory(obj), \
-                    f"seed=0x08DE8 round={round_no} order={order}"
+
+def incremental_corpus_rows():
+    """Clause addition between solves: the retained-solver BMC pattern."""
+    rng = random.Random(0x5EC0DD)
+    rows = []
+    for _ in range(ROUNDS // 2):
+        clauses = random_cnf(rng)
+        solver = stressed_solver()
+        third = max(1, len(clauses) // 3)
+        for start in range(0, len(clauses), third):
+            for cl in clauses[start:start + third]:
+                solver.add_clause(list(cl))
+            status = solver.solve()
+            rows.append(trajectory(status, solver))
+            if status == UNSAT:
+                break
+    return rows
+
+
+def php_solver(holes=5, pigeons=6):
+    """PHP(pigeons, holes) on a stressed solver: UNSAT after thousands
+    of conflicts."""
+    solver = stressed_solver()
+
+    def var(p, h):
+        return p * holes + h + 1
+    for p in range(pigeons):
+        solver.add_clause([var(p, h) for h in range(holes)])
+    for h in range(holes):
+        for p1 in range(pigeons):
+            for p2 in range(p1 + 1, pigeons):
+                solver.add_clause([-var(p1, h), -var(p2, h)])
+    return solver
+
+
+class TestTrajectoryPins:
+    """Golden pins over ``(status, conflicts, decisions, propagations,
+    reductions)`` after every solve of each seeded corpus.  The values
+    were taken while a second, per-clause-object core still replayed
+    the same search bit for bit; any change to branching, propagation
+    order, learning, restarts or reduce-db moves them."""
+
+    def test_plain_corpus_pinned(self):
+        assert trajectory_digest(plain_corpus_rows()) == PINS["plain"]
+
+    def test_assumption_corpus_pinned(self):
+        assert trajectory_digest(assumption_corpus_rows()) == \
+            PINS["assumptions"]
+
+    def test_incremental_corpus_pinned(self):
+        assert trajectory_digest(incremental_corpus_rows()) == \
+            PINS["incremental"]
 
     def test_php_reduce_db_trajectory_pinned(self):
-        """PHP(6,5) under constant reduction: thousands of conflicts,
-        every reduce-db rebuilds only touched watchlists — both cores
-        must land on the exact same conflict count."""
-        counts = {}
-        for core in ("arena", "object"):
-            solver = stressed_solver(core=core)
-            holes, pigeons = 5, 6
-
-            def var(p, h):
-                return p * holes + h + 1
-            for p in range(pigeons):
-                solver.add_clause([var(p, h) for h in range(holes)])
-            for h in range(holes):
-                for p1 in range(pigeons):
-                    for p2 in range(p1 + 1, pigeons):
-                        solver.add_clause([-var(p1, h), -var(p2, h)])
-            assert solver.solve() == UNSAT
-            assert solver.reductions > 0  # reduce-db actually fired
-            counts[core] = self._trajectory(solver)
-        assert counts["arena"] == counts["object"], counts
+        """PHP(6,5) under constant reduction: every reduce-db rebuilds
+        only the touched watchlists, on an exact conflict count."""
+        solver = php_solver()
+        status = solver.solve()
+        assert solver.reductions > 0  # reduce-db actually fired
+        assert trajectory(status, solver) == PHP_TRAJECTORY
 
 
 class TestSolveBatch:
     """solve_batch must return the same verdicts as per-call solve()
     with the same assumption sets (prefix sharing is a pure
-    optimization), on both cores."""
+    optimization)."""
 
     def _assumption_sets(self, rng):
         sets = []
@@ -275,59 +268,55 @@ class TestSolveBatch:
         for round_no in range(ROUNDS // 2):
             clauses = random_cnf(rng)
             sets = self._assumption_sets(rng)
-            for core in ("arena", "object"):
-                batch = stressed_solver(core=core)
-                single = stressed_solver(core=core)
-                for cl in clauses:
-                    batch.add_clause(list(cl))
-                    single.add_clause(list(cl))
-                got = batch.solve_batch([list(s) for s in sets])
-                want = [single.solve(assumptions=list(s)) for s in sets]
-                assert got == want, \
-                    f"seed=0xBA7C4 round={round_no} core={core}"
-                assert batch.batch_assumption_levels == \
-                    sum(len(s) for s in sets)
-                assert 0 <= batch.batch_shared_levels <= \
-                    batch.batch_assumption_levels
+            batch = stressed_solver()
+            single = stressed_solver()
+            for cl in clauses:
+                batch.add_clause(list(cl))
+                single.add_clause(list(cl))
+            got = batch.solve_batch([list(s) for s in sets])
+            want = [single.solve(assumptions=list(s)) for s in sets]
+            assert got == want, f"seed=0xBA7C4 round={round_no}"
+            assert batch.batch_assumption_levels == \
+                sum(len(s) for s in sets)
+            assert 0 <= batch.batch_shared_levels <= \
+                batch.batch_assumption_levels
 
     def test_on_result_sees_the_model(self):
         """The callback fires while the SAT model is still intact —
         the window decide_batch uses for witness extraction."""
-        for core in ("arena", "object"):
-            solver = make_solver(core=core)
-            solver.add_clause([1, 2])
-            solver.add_clause([-1, 3])
-            seen = []
+        solver = ArenaSolver()
+        solver.add_clause([1, 2])
+        solver.add_clause([-1, 3])
+        seen = []
 
-            def on_result(index, status):
-                if status == SAT:
-                    seen.append((index, solver.model_value(1),
-                                 solver.model_value(3)))
-                else:
-                    seen.append((index, None, None))
+        def on_result(index, status):
+            if status == SAT:
+                seen.append((index, solver.model_value(1),
+                             solver.model_value(3)))
+            else:
+                seen.append((index, None, None))
 
-            statuses = solver.solve_batch(
-                [[1], [1, -3], [-1]], on_result=on_result)
-            assert statuses == [SAT, UNSAT, SAT]
-            assert seen[0][0] == 0 and seen[0][1] is True \
-                and seen[0][2] is True
-            assert seen[1] == (1, None, None)
-            assert seen[2][0] == 2 and seen[2][1] is False
+        statuses = solver.solve_batch(
+            [[1], [1, -3], [-1]], on_result=on_result)
+        assert statuses == [SAT, UNSAT, SAT]
+        assert seen[0][0] == 0 and seen[0][1] is True \
+            and seen[0][2] is True
+        assert seen[1] == (1, None, None)
+        assert seen[2][0] == 2 and seen[2][1] is False
 
     def test_empty_and_singleton_batches(self):
-        for core in ("arena", "object"):
-            solver = make_solver(core=core)
-            solver.add_clause([1])
-            assert solver.solve_batch([]) == []
-            assert solver.solve_batch([[]]) == [SAT]
-            assert solver.solve_batch([[-1]]) == [UNSAT]
+        solver = ArenaSolver()
+        solver.add_clause([1])
+        assert solver.solve_batch([]) == []
+        assert solver.solve_batch([[]]) == [SAT]
+        assert solver.solve_batch([[-1]]) == [UNSAT]
 
 
 class TestBudgetHygiene:
     def test_deadline_return_clears_conflict_assumptions(self):
         """A timed-out solve must not leak the previous query's failed
-        assumptions (the solver.py:377 stale-core bug)."""
-        solver = Solver()
+        assumptions (a stale failed-assumption core)."""
+        solver = ArenaSolver()
         solver.add_clause([-1, 2])
         solver.add_clause([-1, -2])
         assert solver.solve(assumptions=[1]) == UNSAT
@@ -339,15 +328,6 @@ class TestBudgetHygiene:
     def test_reduce_db_keeps_solver_sound_on_hard_instance(self):
         """PHP(6,5) forces thousands of conflicts; with reduction after
         every conflict the answer must still be UNSAT."""
-        solver = stressed_solver()
-        holes, pigeons = 5, 6
-        def var(p, h):
-            return p * holes + h + 1
-        for p in range(pigeons):
-            solver.add_clause([var(p, h) for h in range(holes)])
-        for h in range(holes):
-            for p1 in range(pigeons):
-                for p2 in range(p1 + 1, pigeons):
-                    solver.add_clause([-var(p1, h), -var(p2, h)])
+        solver = php_solver()
         assert solver.solve() == UNSAT
         assert solver.conflicts > 50  # reductions actually exercised

@@ -6,12 +6,12 @@ on assumptions behaving as temporary unit decisions: these tests pin
 that contract.
 """
 
-from repro.sat import SAT, UNSAT, Cnf, Solver
+from repro.sat import SAT, UNSAT, ArenaSolver, Cnf
 
 
 def test_assumption_flips_on_one_solver():
     # x1 <-> x2 ; assumptions pick the phase per call.
-    solver = Solver()
+    solver = ArenaSolver()
     solver.add_clause([-1, 2])
     solver.add_clause([1, -2])
     assert solver.solve(assumptions=[1]) == SAT
@@ -24,7 +24,7 @@ def test_assumption_flips_on_one_solver():
 
 
 def test_conflicting_assumptions_reported():
-    solver = Solver()
+    solver = ArenaSolver()
     solver.add_clause([-1, 2])   # 1 -> 2
     solver.add_clause([-2, 3])   # 2 -> 3
     assert solver.solve(assumptions=[1, -3]) == UNSAT
@@ -35,7 +35,7 @@ def test_conflicting_assumptions_reported():
 
 
 def test_clauses_added_between_solves_are_respected():
-    solver = Solver()
+    solver = ArenaSolver()
     solver.add_clause([1, 2])
     assert solver.solve(assumptions=[-1]) == SAT
     assert solver.model_value(2) is True
@@ -49,7 +49,7 @@ def test_unsat_under_assumptions_is_not_global_unsat():
     a, b, c = cnf.new_var(), cnf.new_var(), cnf.new_var()
     cnf.add_clause([a, b])
     cnf.add_clause([-a, c])
-    solver = Solver()
+    solver = ArenaSolver()
     solver.add_cnf(cnf)
     assert solver.solve(assumptions=[-b, -c]) == UNSAT
     assert solver.solve() == SAT
@@ -69,7 +69,7 @@ def test_complete_selector_style_assumptions():
     # sel0 forces payload, sel1 forbids it.
     cnf.add_clause([-sels[0], payload])
     cnf.add_clause([-sels[1], -payload])
-    solver = Solver()
+    solver = ArenaSolver()
     solver.add_cnf(cnf)
     for chosen in (0, 1, 2, 3, 1, 0):
         assumptions = [s if i == chosen else -s for i, s in enumerate(sels)]

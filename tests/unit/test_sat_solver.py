@@ -12,8 +12,8 @@ from repro.sat import (
     SAT,
     UNKNOWN,
     UNSAT,
+    ArenaSolver,
     Cnf,
-    Solver,
     luby,
     read_dimacs,
     solve_cnf,
@@ -34,10 +34,10 @@ def brute_force_sat(clauses, num_vars):
 # ---------------------------------------------------------------------------
 class TestBasics:
     def test_empty_problem_is_sat(self):
-        assert Solver().solve() == SAT
+        assert ArenaSolver().solve() == SAT
 
     def test_unit_propagation(self):
-        s = Solver()
+        s = ArenaSolver()
         s.add_clause([1])
         s.add_clause([-1, 2])
         s.add_clause([-2, 3])
@@ -45,28 +45,28 @@ class TestBasics:
         assert s.model_value(1) and s.model_value(2) and s.model_value(3)
 
     def test_trivial_unsat(self):
-        s = Solver()
+        s = ArenaSolver()
         s.add_clause([1])
         s.add_clause([-1])
         assert s.solve() == UNSAT
 
     def test_tautology_ignored(self):
-        s = Solver()
+        s = ArenaSolver()
         s.add_clause([1, -1])
         assert s.solve() == SAT
 
     def test_duplicate_literals_collapse(self):
-        s = Solver()
+        s = ArenaSolver()
         s.add_clause([2, 2, 2])
         assert s.solve() == SAT
         assert s.model_value(2)
 
     def test_zero_literal_rejected(self):
         with pytest.raises(SatError):
-            Solver().add_clause([0])
+            ArenaSolver().add_clause([0])
 
     def test_unsat_persists(self):
-        s = Solver()
+        s = ArenaSolver()
         s.add_clause([1])
         s.add_clause([-1])
         assert s.solve() == UNSAT
@@ -74,7 +74,7 @@ class TestBasics:
 
     def test_model_satisfies_all_clauses(self):
         clauses = [[1, 2, 3], [-1, -2], [-2, -3], [-1, -3], [2, 3]]
-        s = Solver()
+        s = ArenaSolver()
         for cl in clauses:
             s.add_clause(list(cl))
         assert s.solve() == SAT
@@ -84,27 +84,27 @@ class TestBasics:
 
 class TestAssumptions:
     def test_assumption_forces_value(self):
-        s = Solver()
+        s = ArenaSolver()
         s.add_clause([1, 2])
         assert s.solve(assumptions=[-1]) == SAT
         assert s.model_value(2)
 
     def test_conflicting_assumptions(self):
-        s = Solver()
+        s = ArenaSolver()
         s.add_clause([-1, 2])
         assert s.solve(assumptions=[1, -2]) == UNSAT
-        # Solver is reusable afterwards.
+        # The solver is reusable afterwards.
         assert s.solve(assumptions=[1]) == SAT
         assert s.model_value(2)
 
     def test_assumptions_do_not_persist(self):
-        s = Solver()
+        s = ArenaSolver()
         s.add_clause([1, 2])
         assert s.solve(assumptions=[-1, -2]) == UNSAT
         assert s.solve() == SAT
 
     def test_incremental_clause_addition(self):
-        s = Solver()
+        s = ArenaSolver()
         s.add_clause([1, 2])
         assert s.solve() == SAT
         s.add_clause([-1])
@@ -184,7 +184,7 @@ class TestAgainstBruteForce:
     @given(random_cnf())
     def test_matches_brute_force(self, problem):
         num_vars, clauses = problem
-        s = Solver()
+        s = ArenaSolver()
         for cl in clauses:
             s.add_clause(list(cl))
         expected = brute_force_sat(clauses, num_vars)
@@ -203,7 +203,7 @@ class TestAgainstBruteForce:
         assume_vars = [v for v in assume_vars if v <= num_vars]
         assumptions = [v if s else -v
                        for v, s in zip(assume_vars, signs)]
-        s = Solver()
+        s = ArenaSolver()
         for cl in clauses:
             s.add_clause(list(cl))
         expected = brute_force_sat(clauses + [[a] for a in assumptions], num_vars)

@@ -15,7 +15,7 @@ class TestValidateParams:
     def test_defaults_filled_in(self):
         params = validate_params("synth", {"design": "unicore"})
         assert params["design"] == "unicore"
-        assert params["engine"] == "incremental"
+        assert "engine" not in params  # one formal engine: nothing to pick
         assert params["bound"] is None
 
     def test_same_request_validates_identically(self):

@@ -164,7 +164,7 @@ class TestCoSimulation:
         import random
 
         from repro.formal import Unroller, bitblast
-        from repro.sat import Cnf, Solver
+        from repro.sat import ArenaSolver, Cnf
 
         rng = random.Random(seed)
         cycles = 5
@@ -188,7 +188,7 @@ class TestCoSimulation:
             expected.append({p: sim.peek(p) for p in self.PROBES})
             sim.step()
 
-        solver = Solver()
+        solver = ArenaSolver()
         solver.add_cnf(cnf)
         assumptions = []
         for t, frame in enumerate(stimulus):
