@@ -93,12 +93,14 @@ def _emit_intra_paths(syn: "Rtl2Uspec", plan: MergePlan, model: Model) -> None:
             if loc_p != loc_c:
                 loc_edges.add((loc_p, loc_c))
         _assert_acyclic(loc_edges, enc.name)
-        # Order edges by stage for readable output; drop edges that skip
-        # over an existing two-step path (transitive reduction).
+        # Order edges by stage for readable output, then by location
+        # name so same-stage ties never follow set (string-hash) order;
+        # drop edges that skip over an existing two-step path
+        # (transitive reduction).
         reduced = _transitive_reduction(loc_edges)
         pairs = [(Node("i", src), Node("i", dst)) for src, dst in sorted(
             reduced, key=lambda e: (plan.location_stage[e[0]],
-                                    plan.location_stage[e[1]]))]
+                                    plan.location_stage[e[1]], e[0], e[1]))]
         if not pairs:
             continue
         body = And(tuple(AddEdge(s, d, "path") for s, d in pairs))

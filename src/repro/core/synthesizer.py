@@ -218,6 +218,15 @@ class Rtl2Uspec:
         self.relaxed = relaxed
         self.progress_horizon = progress_horizon or (metadata.num_cores + 6)
         self.candidate_filter = set(candidate_filter) if candidate_filter else None
+        self.iface = metadata.interfaces[0] if metadata.interfaces else None
+        if self.candidate_filter is not None and self.iface is not None \
+                and self.iface.resource not in self.candidate_filter:
+            # The emitter anchors the value axioms on the resource's µhb
+            # location; without it every SVA would be discharged first.
+            raise SynthesisError(
+                f"candidate scope leaves out the interface resource "
+                f"{self.iface.resource!r}; the emitted model needs its "
+                "location (add it to the candidates)")
         self.scheduler = DischargeScheduler(self.checker, self.factory, jobs=jobs,
                                             journal=journal,
                                             timeout_seconds=check_timeout,
@@ -226,7 +235,6 @@ class Rtl2Uspec:
         self.sva_records: List[SvaRecord] = []
         self.hbi_records: List[HbiRecord] = []
         self.stats = SynthesisStats()
-        self.iface = metadata.interfaces[0] if metadata.interfaces else None
         #: signature -> SvaRecord for every executed obligation
         self._verdicts: Dict[Tuple, SvaRecord] = {}
 

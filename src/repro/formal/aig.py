@@ -235,6 +235,32 @@ class Aig:
         dup._strash = dict(self._strash)
         return dup
 
+    def cone(self, lits) -> List[int]:
+        """Node ids of the sequential cone of influence of ``lits`` —
+        their transitive fan-in through AND gates and latch next-state
+        functions — in node order, constant node excluded."""
+        kind = self.kind
+        fanin0 = self.fanin0
+        fanin1 = self.fanin1
+        latch_next = self.latch_next
+        seen = bytearray(len(kind))
+        seen[0] = 1
+        stack = [lit_node(lit) for lit in lits]
+        while stack:
+            node = stack.pop()
+            if seen[node]:
+                continue
+            seen[node] = 1
+            node_kind = kind[node]
+            if node_kind == _AND:
+                stack.append(fanin0[node] >> 1)
+                stack.append(fanin1[node] >> 1)
+            elif node_kind == _LATCH:
+                next_lit = latch_next.get(node)
+                if next_lit is not None:
+                    stack.append(next_lit >> 1)
+        return [node for node in range(1, len(kind)) if seen[node]]
+
     def num_nodes(self) -> int:
         return len(self.kind)
 

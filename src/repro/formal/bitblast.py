@@ -16,7 +16,7 @@ is safe.
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..errors import FormalError
 from ..netlist import (
@@ -328,10 +328,31 @@ def _blast_cell(aig: Aig, cell: Cell, operands: List[List[int]], out_width: int)
     raise FormalError(f"bitblast: unsupported op {op!r}")
 
 
+def blast_key(netlist: Netlist, roots: Optional[Sequence[str]],
+              frozen_inputs: Sequence[str]) -> Tuple:
+    """Content key of one blasted problem shape (see :class:`BlastCache`)."""
+    return (netlist_fingerprint(netlist),
+            None if roots is None else tuple(sorted(roots)),
+            tuple(sorted(frozen_inputs)))
+
+
+def blast_cone(netlist: Netlist, roots: Optional[Sequence[str]],
+               frozen_inputs: Sequence[str]) -> Tuple[Netlist, BlastedDesign]:
+    """Cut ``netlist`` to the word-level cone of ``roots`` (the whole
+    netlist for ``roots=None``) and bit-blast it."""
+    cone = netlist if roots is None else cone_of_influence(netlist, roots)
+    # Frozen inputs outside the cone are irrelevant to the check;
+    # filtering is deterministic given the key, so the unfiltered
+    # list is safe to use in it.
+    frozen = [f for f in frozen_inputs if f in cone.inputs]
+    return cone, bitblast(cone, frozen_inputs=frozen)
+
+
 class BlastCache:
     """LRU cache for the COI-extraction + bitblast front half of a check.
 
-    Keyed by ``(netlist_fingerprint, roots, frozen_inputs, use_coi)``:
+    Keyed by ``(netlist_fingerprint, roots, frozen_inputs)``, where
+    ``roots=None`` stands for the whole netlist (a shared module base):
     the fingerprint is canonical under cell reordering and memoized per
     netlist instance (see :func:`repro.netlist.netlist_fingerprint`),
     so repeated problems over the same design pay for the structural
@@ -348,29 +369,26 @@ class BlastCache:
         self.hits = 0
         self.misses = 0
 
-    def get(self, netlist: Netlist, roots: Sequence[str],
-            frozen_inputs: Sequence[str],
-            use_coi: bool) -> Tuple[Netlist, BlastedDesign]:
+    def get(self, netlist: Netlist, roots: Optional[Sequence[str]],
+            frozen_inputs: Sequence[str]) -> Tuple[Netlist, BlastedDesign]:
         """Return ``(cone_netlist, blasted)`` for the given problem shape,
-        blasting (and caching) on a miss."""
-        key = (netlist_fingerprint(netlist), tuple(sorted(roots)),
-               tuple(sorted(frozen_inputs)), use_coi)
+        blasting (and caching) on a miss.  ``roots=None`` blasts the
+        whole netlist."""
+        key = blast_key(netlist, roots, frozen_inputs)
         entry = self._entries.get(key)
         if entry is not None:
             self.hits += 1
             self._entries.move_to_end(key)
             return entry
         self.misses += 1
-        cone = cone_of_influence(netlist, roots) if use_coi else netlist
-        # Frozen inputs outside the cone are irrelevant to the check;
-        # filtering is deterministic given the key, so the unfiltered
-        # list is safe to use in it.
-        frozen = [f for f in frozen_inputs if f in cone.inputs]
-        blasted = bitblast(cone, frozen_inputs=frozen)
-        self._entries[key] = (cone, blasted)
+        entry = blast_cone(netlist, roots, frozen_inputs)
+        self._remember(key, entry)
+        return entry
+
+    def _remember(self, key, entry) -> None:
+        self._entries[key] = entry
         while len(self._entries) > self.capacity:
             self._entries.popitem(last=False)
-        return cone, blasted
 
     def stats(self) -> Dict[str, int]:
         return {

@@ -31,9 +31,14 @@ escalates k in a second retained solver by monotone additions: after
 the step query fails at k, frame k is asserted clean and the query for
 k+1 reuses everything.
 
-Cone-of-influence extraction and bit-blasting go through a keyed
+Bit-blasting goes through a keyed
 :class:`~repro.formal.bitblast.BlastCache`, so repeated checks over the
-same cone skip straight to unrolling.
+same design skip straight to unrolling.  A plain problem is first cut
+to its word-level cone of influence; a share-base problem blasts its
+whole module once and extends it with the monitor.  Either way the
+:class:`~repro.formal.unroll.Unroller` encodes only the bit-level
+sequential cone of the problem's assume, assert and reset wires, so
+a module-sized base costs only what the property can observe.
 """
 
 from __future__ import annotations
@@ -138,7 +143,7 @@ class PropertyChecker:
     """Decides safety problems with BMC + k-induction."""
 
     def __init__(self, bound: int = 14, max_k: int = 12,
-                 use_coi: bool = True, max_conflicts: Optional[int] = None,
+                 max_conflicts: Optional[int] = None,
                  timeout_seconds: Optional[float] = None,
                  phase_seed: int = 0,
                  restart_base: Optional[int] = None,
@@ -149,7 +154,6 @@ class PropertyChecker:
             raise ValueError(f"portfolio size must be >= 1, got {portfolio}")
         self.bound = bound
         self.max_k = max_k
-        self.use_coi = use_coi
         self.max_conflicts = max_conflicts
         self.timeout_seconds = timeout_seconds
         # Portfolio diversification knobs (see repro.formal.portfolio):
@@ -282,21 +286,21 @@ class PropertyChecker:
 
     # ------------------------------------------------------------------
     def _blast(self, problem: SafetyProblem) -> Tuple[Netlist, BlastedDesign]:
-        """COI-reduce and bit-blast the problem via the shared cache."""
+        """Bit-blast the problem via the shared cache."""
         hits0 = self._blast_cache.hits
         misses0 = self._blast_cache.misses
         if problem.base is not None:
             # Share-base path: the (module) base design is blasted whole
-            # once — no COI, so one cache entry serves every monitor —
-            # and only the monitor delta is blasted per problem.
-            _, base_blasted = self._blast_cache.get(problem.base, (), (), False)
+            # once, so one cache entry serves every monitor, and only
+            # the monitor delta is blasted per problem.  The unroller
+            # then encodes just the property's bit-level cone of it.
+            _, base_blasted = self._blast_cache.get(problem.base, None, ())
             netlist = problem.netlist
             design = extend_bitblast(base_blasted, netlist,
                                      problem.frozen_inputs)
         else:
             netlist, design = self._blast_cache.get(
-                problem.netlist, problem.roots(), problem.frozen_inputs,
-                self.use_coi)
+                problem.netlist, problem.roots(), problem.frozen_inputs)
         self.stats["blast_hits"] += self._blast_cache.hits - hits0
         self.stats["blast_misses"] += self._blast_cache.misses - misses0
         return netlist, design
@@ -308,6 +312,16 @@ class PropertyChecker:
         the first frame, low after)."""
         lit = unroller.wire_lit(problem.reset_input, t)
         return lit if t == 0 else -lit
+
+    @staticmethod
+    def _unroll_roots(problem: SafetyProblem, netlist: Netlist) -> List[str]:
+        """The wires an unroller must encode: the assume wires present
+        in ``netlist``, the assert wires and the reset input."""
+        roots = [w for w in problem.assume_wires if w in netlist.wires]
+        roots += problem.assert_wires
+        if problem.reset_input in netlist.inputs:
+            roots.append(problem.reset_input)
+        return roots
 
     def _frame_ok(self, unroller: Unroller, netlist: Netlist,
                   problem: SafetyProblem, cnf: Cnf, t: int) -> Tuple[int, int]:
@@ -353,7 +367,7 @@ class PropertyChecker:
         is absolute.
         """
         cnf = Cnf()
-        unroller = Unroller(design, cnf)
+        unroller = Unroller(design, cnf, self._unroll_roots(problem, netlist))
         solver = self._new_solver()
         fed = 0
         has_reset = problem.reset_input in netlist.inputs
@@ -406,7 +420,8 @@ class PropertyChecker:
         ``induction_k``.  Each depth gets the full conflict budget.
         """
         cnf = Cnf()
-        unroller = Unroller(design, cnf, free_initial_state=True)
+        unroller = Unroller(design, cnf, self._unroll_roots(problem, netlist),
+                            free_initial_state=True)
         solver = self._new_solver()
         fed = 0
         has_reset = problem.reset_input in netlist.inputs

@@ -5,6 +5,7 @@ from __future__ import annotations
 from typing import Dict, List, Optional
 
 from ..sat import ArenaSolver
+from .aig import _AND, _LATCH
 from .unroll import Unroller
 
 
@@ -12,7 +13,12 @@ class Trace:
     """A finite counterexample: per-cycle wire values.
 
     ``values[name][t]`` is the integer value of wire ``name`` at cycle
-    ``t``. Memory cells appear as ``mem[addr]`` pseudo-wires.
+    ``t``. Memory cells appear as ``mem[addr]`` pseudo-wires.  Every
+    wire and cell is present: bits in the checked property's cone of
+    influence come from the SAT model, and the rest are simulated
+    forward from them (latch init values at cycle 0, inputs outside
+    the cone held at 0), so the trace is one consistent run of the
+    whole design.
     """
 
     def __init__(self, values: Dict[str, List[int]], length: int,
@@ -46,29 +52,68 @@ class Trace:
 
 def extract_trace(unroller: Unroller, solver: ArenaSolver, length: int,
                   fail_cycle: Optional[int] = None) -> Trace:
-    """Read back every wire and memory cell value from a SAT model."""
+    """Read back every wire and memory cell value for ``length`` cycles.
+
+    Bits in the unroller's cone come from the SAT model.  Every other
+    bit is forward-simulated on the AIG from those values, with latch
+    init values at cycle 0 and out-of-cone inputs held at 0; logic
+    outside the cone cannot reach a root, so the filled-in values never
+    contradict the model.
+    """
     design = unroller.design
+    frames = _node_values(unroller, solver, length)
+
+    def word(bits: List[int], t: int) -> int:
+        vals = frames[t]
+        value = 0
+        for bit, aig_lit in enumerate(bits):
+            if vals[aig_lit >> 1] ^ (aig_lit & 1):
+                value |= 1 << bit
+        return value
+
     values: Dict[str, List[int]] = {}
     for name, lits in design.wire_lits.items():
-        per_cycle = []
-        for t in range(length):
-            word = 0
-            for bit, aig_lit in enumerate(lits):
-                if solver.model_value(unroller.lit(aig_lit, t)):
-                    word |= 1 << bit
-            per_cycle.append(word)
-        values[name] = per_cycle
+        values[name] = [word(lits, t) for t in range(length)]
     for mem_name, cells in design.mem_cell_lits.items():
         for addr, bits in enumerate(cells):
-            per_cycle = []
-            for t in range(length):
-                word = 0
-                for bit, aig_lit in enumerate(bits):
-                    if solver.model_value(unroller.lit(aig_lit, t)):
-                        word |= 1 << bit
-                per_cycle.append(word)
-            values[f"{mem_name}[{addr}]"] = per_cycle
+            values[f"{mem_name}[{addr}]"] = [word(bits, t) for t in range(length)]
     return Trace(values, length, fail_cycle)
+
+
+def _node_values(unroller: Unroller, solver: ArenaSolver,
+                 length: int) -> List[List[int]]:
+    """Per-cycle 0/1 value of every AIG node (see :func:`extract_trace`)."""
+    unroller.extend_to(length)
+    aig = unroller.aig
+    kinds = aig.kind
+    fanin0 = aig.fanin0
+    fanin1 = aig.fanin1
+    model_value = solver.model_value
+    frames: List[List[int]] = []
+    prev: List[int] = []
+    for t in range(length):
+        node2lit = unroller.frames[t]
+        vals = [0] * aig.num_nodes()
+        for node in range(1, len(vals)):
+            lit = node2lit[node]
+            if lit:
+                vals[node] = 1 if model_value(lit) else 0
+                continue
+            kind = kinds[node]
+            if kind == _AND:
+                a = fanin0[node]
+                b = fanin1[node]
+                vals[node] = (vals[a >> 1] ^ (a & 1)) & (vals[b >> 1] ^ (b & 1))
+            elif kind == _LATCH:
+                if t == 0:
+                    vals[node] = aig.latch_init[node]
+                else:
+                    nxt = aig.latch_next[node]
+                    vals[node] = prev[nxt >> 1] ^ (nxt & 1)
+            # out-of-cone inputs stay 0
+        frames.append(vals)
+        prev = vals
+    return frames
 
 
 def trace_to_vcd(trace: Trace, stream, module: str = "cex",

@@ -1,8 +1,17 @@
-"""Timeframe expansion: sequential AIG -> CNF over T steps."""
+"""Timeframe expansion: the sequential cone of a property's root wires
+-> CNF over T steps.
+
+An :class:`Unroller` encodes only the AIG nodes its root wires can
+observe: the transitive fan-in through AND gates and latch next-state
+functions, walked once at construction.  Logic outside that cone cannot
+reach any root, so leaving it out of the formula changes no verdict; a
+compositional problem over a whole module netlist then pays for the
+property's cone, not for the module, at every frame.
+"""
 
 from __future__ import annotations
 
-from typing import Dict, List
+from typing import Dict, Iterable, List
 
 from ..errors import FormalError
 from ..sat import Cnf
@@ -12,24 +21,35 @@ from .bitblast import BlastedDesign
 
 
 class Unroller:
-    """Instantiates the AIG per timeframe into a shared :class:`Cnf`.
+    """Instantiates the cone of ``roots`` per timeframe into a shared
+    :class:`Cnf`.
 
     Frame 0 uses latch init values (unless ``free_initial_state``, used
     by the induction step query). Frozen inputs share one set of CNF
-    variables across all frames.
+    variables across all frames.  Nodes outside the cone have no CNF
+    literal: :meth:`lit` raises :class:`FormalError` for them.
     """
 
-    def __init__(self, design: BlastedDesign, cnf: Cnf, free_initial_state: bool = False):
+    def __init__(self, design: BlastedDesign, cnf: Cnf,
+                 roots: Iterable[str], free_initial_state: bool = False):
         self.design = design
         self.aig = design.aig
         self.cnf = cnf
         self.free_initial_state = free_initial_state
-        self.frames: List[List[int]] = []   # frame -> node -> cnf literal
+        self.frames: List[List[int]] = []   # frame -> node -> cnf literal (0: outside the cone)
         self._frozen_vars: Dict[int, int] = {}  # input node -> cnf literal
         self._frozen_nodes = set()
         for name in design.frozen_inputs:
             for lit in design.wire_lits[name]:
                 self._frozen_nodes.add(lit_node(lit))
+        root_lits: List[int] = []
+        for name in roots:
+            lits = design.wire_lits.get(name)
+            if lits is None:
+                raise FormalError(f"unroll root {name!r} is not a design wire")
+            root_lits.extend(lits)
+        #: node ids of the sequential cone of ``roots``, in node order
+        self.cone: List[int] = self.aig.cone(root_lits)
 
     # ------------------------------------------------------------------
     def num_frames(self) -> int:
@@ -53,7 +73,7 @@ class Unroller:
         fanin1 = aig.fanin1
         prev = self.frames[t - 1] if t else None
 
-        for node in range(1, aig.num_nodes()):
+        for node in self.cone:
             kind = kinds[node]
             if kind == aigmod._INPUT:
                 if node in self._frozen_nodes:
@@ -90,7 +110,6 @@ class Unroller:
                     node2lit[node] = false_lit
                 else:
                     node2lit[node] = cnf.encode_and((a, b))
-            # _CONST handled by initialization
         self.frames.append(node2lit)
 
     @staticmethod
@@ -102,7 +121,11 @@ class Unroller:
     def lit(self, aig_lit: int, frame: int) -> int:
         """CNF literal for an AIG literal at a given frame."""
         self.extend_to(frame + 1)
-        return self._resolve(self.frames[frame], aig_lit)
+        lit = self._resolve(self.frames[frame], aig_lit)
+        if lit == 0:
+            raise FormalError(f"AIG node {lit_node(aig_lit)} is outside the "
+                              "unrolled cone of influence")
+        return lit
 
     def wire_lit(self, name: str, frame: int, bit: int = 0) -> int:
         """CNF literal for one bit of a named wire at a frame."""

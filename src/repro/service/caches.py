@@ -29,10 +29,10 @@ import hashlib
 import json
 from typing import Optional, Sequence, Tuple
 
-from ..formal.bitblast import BlastCache, BlastedDesign, bitblast
+from ..formal.bitblast import BlastCache, BlastedDesign, blast_cone, blast_key
 from ..formal.cache import VerdictCache, decode_verdict
 from ..formal.engine import UNKNOWN, Verdict
-from ..netlist import Netlist, cone_of_influence, netlist_fingerprint
+from ..netlist import Netlist
 from .store import ArtifactStore
 
 #: store namespaces (one directory each under the store root)
@@ -100,14 +100,12 @@ class PersistentVerdictCache(VerdictCache):
         """Entries are written through on :meth:`store`; nothing to do."""
 
 
-def blast_store_key(netlist: Netlist, roots: Sequence[str],
-                    frozen_inputs: Sequence[str], use_coi: bool) -> str:
+def blast_store_key(netlist: Netlist, roots: Optional[Sequence[str]],
+                    frozen_inputs: Sequence[str]) -> str:
     """Content key for one blasted problem shape — the on-disk analogue
     of :class:`BlastCache`'s in-memory tuple key."""
-    canonical = json.dumps([
-        netlist_fingerprint(netlist), sorted(roots),
-        sorted(frozen_inputs), bool(use_coi),
-    ], separators=(",", ":"))
+    canonical = json.dumps(blast_key(netlist, roots, frozen_inputs),
+                           separators=(",", ":"))
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
 
@@ -126,17 +124,15 @@ class PersistentBlastCache(BlastCache):
         #: write-throughs refused by the store (full disk / byte budget)
         self.store_write_errors = 0
 
-    def get(self, netlist: Netlist, roots: Sequence[str],
-            frozen_inputs: Sequence[str],
-            use_coi: bool) -> Tuple[Netlist, BlastedDesign]:
-        key = (netlist_fingerprint(netlist), tuple(sorted(roots)),
-               tuple(sorted(frozen_inputs)), use_coi)
+    def get(self, netlist: Netlist, roots: Optional[Sequence[str]],
+            frozen_inputs: Sequence[str]) -> Tuple[Netlist, BlastedDesign]:
+        key = blast_key(netlist, roots, frozen_inputs)
         entry = self._entries.get(key)
         if entry is not None:
             self.hits += 1
             self._entries.move_to_end(key)
             return entry
-        disk_key = blast_store_key(netlist, roots, frozen_inputs, use_coi)
+        disk_key = blast_store_key(netlist, roots, frozen_inputs)
         loaded = self._store.get_pickle(BLAST_NAMESPACE, disk_key)
         if isinstance(loaded, tuple) and len(loaded) == 2 \
                 and isinstance(loaded[1], BlastedDesign):
@@ -145,10 +141,7 @@ class PersistentBlastCache(BlastCache):
             self._remember(key, loaded)
             return loaded
         self.misses += 1
-        cone = cone_of_influence(netlist, roots) if use_coi else netlist
-        frozen = [f for f in frozen_inputs if f in cone.inputs]
-        blasted = bitblast(cone, frozen_inputs=frozen)
-        entry = (cone, blasted)
+        entry = blast_cone(netlist, roots, frozen_inputs)
         self._remember(key, entry)
         try:
             self._store.put_pickle(BLAST_NAMESPACE, disk_key, entry)
@@ -157,8 +150,3 @@ class PersistentBlastCache(BlastCache):
             # costs cross-process reuse, never the blast itself.
             self.store_write_errors += 1
         return entry
-
-    def _remember(self, key, entry) -> None:
-        self._entries[key] = entry
-        while len(self._entries) > self.capacity:
-            self._entries.popitem(last=False)

@@ -27,8 +27,11 @@ that owns the referenced state:
 
 Every problem carries its module netlist as :attr:`SafetyProblem.base`
 (``share_base``): the engine bit-blasts each module once and extends
-per monitor, and the scheduler dedupes isomorphic problems by
-fingerprint, so N identical core instances cost one proof.  Problem
+per monitor, then unrolls only the bit-level cone of the problem's
+assume, assert and reset wires, so a problem costs what its property
+observes rather than the whole module.  The scheduler dedupes
+isomorphic problems by fingerprint, so N identical core instances
+cost one proof.  Problem
 names are *canonicalized* (core index and concrete state collapsed to
 the stage/kind the monitor actually observes) because monitor wire
 names embed the problem name and would otherwise break fingerprint

@@ -135,24 +135,24 @@ endmodule
 class TestBlastCache:
     def test_content_keyed_hit(self, counter_netlist):
         cache = BlastCache()
-        cone1, blasted1 = cache.get(counter_netlist, ["le10"], [], True)
-        cone2, blasted2 = cache.get(counter_netlist.copy(), ["le10"], [], True)
+        cone1, blasted1 = cache.get(counter_netlist, ["le10"], [])
+        cone2, blasted2 = cache.get(counter_netlist.copy(), ["le10"], [])
         assert cache.stats() == {"hits": 1, "misses": 1, "entries": 1}
         assert cone1 is cone2 and blasted1 is blasted2
 
     def test_distinct_roots_are_distinct_entries(self, counter_netlist):
         cache = BlastCache()
-        cache.get(counter_netlist, ["le10"], [], True)
-        cache.get(counter_netlist, ["le9"], [], True)
+        cache.get(counter_netlist, ["le10"], [])
+        cache.get(counter_netlist, ["le9"], [])
         assert cache.stats()["entries"] == 2
         assert cache.stats()["hits"] == 0
 
     def test_lru_eviction(self, counter_netlist):
         cache = BlastCache(capacity=1)
-        cache.get(counter_netlist, ["le10"], [], True)
-        cache.get(counter_netlist, ["le9"], [], True)
+        cache.get(counter_netlist, ["le10"], [])
+        cache.get(counter_netlist, ["le9"], [])
         assert len(cache) == 1
-        cache.get(counter_netlist, ["le10"], [], True)  # evicted: re-blast
+        cache.get(counter_netlist, ["le10"], [])  # evicted: re-blast
         assert cache.stats()["misses"] == 3
 
     def test_capacity_validated(self):

@@ -3,9 +3,14 @@
 import pytest
 
 import repro.errors as errors
-from repro.core import DesignMetadata, InstructionEncoding, RequestResponseInterface
+from repro.core import (
+    DesignMetadata,
+    InstructionEncoding,
+    RequestResponseInterface,
+    Rtl2Uspec,
+)
 from repro.designs import LW_SW_ENCODINGS, SIM_CONFIG, multi_vscale_metadata
-from repro.errors import MetadataError
+from repro.errors import MetadataError, SynthesisError
 
 
 class TestInstructionEncoding:
@@ -75,6 +80,24 @@ class TestMetadataValidation:
         assert metadata.encoding("lw").is_read
         with pytest.raises(MetadataError):
             metadata.encoding("mul")
+
+
+class TestSynthesisScope:
+    def test_scope_without_the_interface_resource_fails_fast(
+            self, sim_netlist, formal_netlist, metadata):
+        # Without the memory the emitter has no location for the value
+        # axioms; the scope is rejected before any SVA is planned.
+        with pytest.raises(SynthesisError, match=r"'the_mem\.mem'"):
+            Rtl2Uspec(sim_netlist, formal_netlist, metadata,
+                      candidate_filter=["core_gen[0].core.inst_DX",
+                                        "core_gen[0].core.PC_WB"])
+
+    def test_scope_with_the_interface_resource_is_accepted(
+            self, sim_netlist, formal_netlist, metadata):
+        with Rtl2Uspec(sim_netlist, formal_netlist, metadata,
+                       candidate_filter=["core_gen[0].core.inst_DX",
+                                         "the_mem.mem"]) as synthesizer:
+            assert synthesizer.iface.resource == "the_mem.mem"
 
 
 class TestErrorHierarchy:

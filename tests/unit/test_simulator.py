@@ -170,7 +170,8 @@ class TestCoSimulation:
         cycles = 5
         design = bitblast(formal_netlist, [])
         cnf = Cnf()
-        unroller = Unroller(design, cnf)
+        unroller = Unroller(design, cnf,
+                            list(formal_netlist.inputs) + self.PROBES)
         unroller.extend_to(cycles)
 
         sim = Simulator(formal_netlist)

@@ -258,16 +258,16 @@ class TestPersistentCaches:
         root = str(tmp_path / "store")
         with ArtifactStore(root) as store:
             cache = PersistentBlastCache(store)
-            cone1, blasted1 = cache.get(netlist, roots, [], True)
+            cone1, blasted1 = cache.get(netlist, roots, [])
             assert cache.misses == 1 and cache.store_hits == 0
         # New session, new in-memory tier: the store must satisfy it.
         with ArtifactStore(root) as store:
             cache = PersistentBlastCache(store)
-            cone2, blasted2 = cache.get(netlist, roots, [], True)
+            cone2, blasted2 = cache.get(netlist, roots, [])
             assert cache.store_hits == 1 and cache.hits == 1
         assert sorted(blasted2.wire_lits) == sorted(blasted1.wire_lits)
         assert blasted2.frozen_inputs == blasted1.frozen_inputs
-        key = blast_store_key(netlist, roots, [], True)
+        key = blast_store_key(netlist, roots, [])
         assert store.get_pickle("blast", key) is not None
 
     def test_corrupt_blast_entry_recomputes(self, tmp_path):
@@ -278,15 +278,15 @@ class TestPersistentCaches:
         roots = sorted(netlist.outputs)[:1]
         store = ArtifactStore(str(tmp_path / "store"))
         cache = PersistentBlastCache(store)
-        _cone0, blasted0 = cache.get(netlist, roots, [], True)
-        key = blast_store_key(netlist, roots, [], True)
+        _cone0, blasted0 = cache.get(netlist, roots, [])
+        key = blast_store_key(netlist, roots, [])
         path = entry_path(store, BLAST_NAMESPACE, key)
         raw = bytearray(open(path, "rb").read())
         raw[len(raw) // 2] ^= 0xFF
         with open(path, "wb") as handle:
             handle.write(raw)
         fresh = PersistentBlastCache(store)
-        cone, blasted = fresh.get(netlist, roots, [], True)  # recomputed
+        cone, blasted = fresh.get(netlist, roots, [])  # recomputed
         assert fresh.misses == 1 and fresh.store_hits == 0
         assert store.corrupt == 1
         assert sorted(blasted.wire_lits) == sorted(blasted0.wire_lits)
