@@ -139,7 +139,9 @@ def _cmd_synth(args: argparse.Namespace) -> int:
             print(f"warning: corrupt verdict cache quarantined to "
                   f"{cache.quarantined}; starting with an empty cache",
                   file=sys.stderr)
-        checker = CachingPropertyChecker(checker, cache, need_traces=True)
+        # Neither the report nor the .uarch reads a counterexample
+        # trace, so a cached refutation is served as it is.
+        checker = CachingPropertyChecker(checker, cache)
     journal = None
     if args.journal:
         from .formal import VerdictJournal

@@ -333,19 +333,6 @@ class PropertyChecker:
         fail = cnf.encode_or(fail_lits) if fail_lits else cnf.false_lit
         return assume_ok, fail
 
-    @staticmethod
-    def _feed_solver(solver, cnf: Cnf, fed: int) -> int:
-        """Push clauses ``cnf.clauses[fed:]`` into the retained solver;
-        returns the new fed watermark."""
-        total = len(cnf.clauses)
-        if fed < total:
-            solver._ensure_var(cnf.num_vars)
-            clauses = cnf.clauses
-            while fed < total:
-                solver.add_clause(clauses[fed])
-                fed += 1
-        return fed
-
     def _bmc(self, design: BlastedDesign, problem: SafetyProblem,
              netlist: Netlist, bound: int,
              deadline: Optional[float] = None,
@@ -382,7 +369,8 @@ class PropertyChecker:
             assume_ok, fail = self._frame_ok(unroller, netlist, problem, cnf, t)
             prefix_ok = cnf.encode_and((prefix_ok, assume_ok))
             violation = cnf.encode_and((prefix_ok, fail))
-            fed = self._feed_solver(solver, cnf, fed)
+            solver.add_cnf(cnf, fed)
+            fed = len(cnf.clauses)
             remaining = None
             if max_conflicts is not None:
                 remaining = max(0, max_conflicts - used_conflicts)
@@ -444,7 +432,8 @@ class PropertyChecker:
                 cnf.assert_lit(-unroller.wire_lit(problem.reset_input, k))
             assume_ok, fail = self._frame_ok(unroller, netlist, problem, cnf, k)
             cnf.assert_lit(assume_ok)
-            fed = self._feed_solver(solver, cnf, fed)
+            solver.add_cnf(cnf, fed)
+            fed = len(cnf.clauses)
             status = self._timed_solve(solver, assumptions=[fail],
                                        max_conflicts=max_conflicts,
                                        deadline=deadline)

@@ -7,6 +7,12 @@ functions, walked once at construction.  Logic outside that cone cannot
 reach any root, so leaving it out of the formula changes no verdict; a
 compositional problem over a whole module netlist then pays for the
 property's cone, not for the module, at every frame.
+
+Each frame's AND gates go straight onto ``cnf.clauses`` as the three
+Tseitin clauses of :meth:`Cnf.encode_and`, in its order, without its
+per-literal range check: every literal there was allocated by ``cnf``
+itself.  The checker loads the new clauses into its retained solver
+with one ``add_cnf(cnf, start)`` call per frame.
 """
 
 from __future__ import annotations
@@ -71,11 +77,37 @@ class Unroller:
         kinds = aig.kind
         fanin0 = aig.fanin0
         fanin1 = aig.fanin1
+        clauses = cnf.clauses
         prev = self.frames[t - 1] if t else None
 
         for node in self.cone:
             kind = kinds[node]
-            if kind == aigmod._INPUT:
+            if kind == aigmod._AND:
+                f = fanin0[node]
+                a = node2lit[f >> 1]
+                if f & 1:
+                    a = -a
+                f = fanin1[node]
+                b = node2lit[f >> 1]
+                if f & 1:
+                    b = -b
+                if a == false_lit or b == false_lit:
+                    node2lit[node] = false_lit
+                elif a == true_lit:
+                    node2lit[node] = b
+                elif b == true_lit or a == b:
+                    node2lit[node] = a
+                elif a == -b:
+                    node2lit[node] = false_lit
+                else:
+                    # cnf.encode_and((a, b)), inlined
+                    cnf.num_vars += 1
+                    out = cnf.num_vars
+                    clauses.append([-out, a])
+                    clauses.append([-out, b])
+                    clauses.append([out, -a, -b])
+                    node2lit[node] = out
+            elif kind == aigmod._INPUT:
                 if node in self._frozen_nodes:
                     var = self._frozen_vars.get(node)
                     if var is None:
@@ -95,21 +127,6 @@ class Unroller:
                     if next_lit is None:
                         raise FormalError(f"latch {aig.tag[node]} has no next function")
                     node2lit[node] = self._resolve(prev, next_lit)
-            elif kind == aigmod._AND:
-                a = self._resolve(node2lit, fanin0[node])
-                b = self._resolve(node2lit, fanin1[node])
-                if a == false_lit or b == false_lit:
-                    node2lit[node] = false_lit
-                elif a == true_lit:
-                    node2lit[node] = b
-                elif b == true_lit:
-                    node2lit[node] = a
-                elif a == b:
-                    node2lit[node] = a
-                elif a == -b:
-                    node2lit[node] = false_lit
-                else:
-                    node2lit[node] = cnf.encode_and((a, b))
         self.frames.append(node2lit)
 
     @staticmethod

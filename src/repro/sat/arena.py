@@ -14,8 +14,13 @@ Memory layout::
     watches   list-of-lists indexed directly by literal (negative lits
               via negative indexing, like ``_litval``) holding integer
               clause *refs* (indices into the header arrays)
-    reason    list[int], -1 = decision/assumption, else a clause ref
-    trail / trail_lim / assign / level / phase / activity  flat lists
+    _litval   list[int] indexed directly by literal (negative lits via
+              negative indexing): 1 true, -1 false, 0 unassigned -- the
+              one assignment table
+    reason    list[int], -1 = decision/assumption, else a clause ref;
+              meaningful only while the var is assigned (not reset on
+              backtrack)
+    trail / trail_lim / level / phase / activity / _heap_act  flat lists
 
 The arena and headers are flat Python lists rather than ``array('i')``:
 CPython's ``array.__getitem__`` allocates a fresh int object on every
@@ -91,8 +96,9 @@ class ArenaSolver(VsidsHeapMixin, BatchedSolveMixin):
         # Literal-indexed truth values (1 true, -1 false, 0 unassigned):
         # _litval[lit] works for negative lits via Python's negative
         # indexing over a (2*num_vars+1)-slot list, turning the hot
-        # sign-aware assignment read into a single list access.  Kept in
-        # lockstep with ``assign``; rebuilt when the variable count grows.
+        # sign-aware assignment read into a single list access.  The
+        # solver's only assignment table (``_litval[var]`` is the var's
+        # value); rebuilt when the variable count grows.
         self._litval: List[int] = [0]
         #: problem / learned clause refs (indices into the header arrays)
         self.clauses: List[int] = []
@@ -104,7 +110,6 @@ class ArenaSolver(VsidsHeapMixin, BatchedSolveMixin):
         # the halves by slice (the list objects move by reference, so
         # existing watchlists survive).
         self.watches: List[List[int]] = [[]]
-        self.assign: List[int] = [0]  # 0 unassigned, 1 true, -1 false; 1-based
         self.level: List[int] = [0]
         self.reason: List[int] = [NO_REASON]
         self.trail: List[int] = []
@@ -132,6 +137,8 @@ class ArenaSolver(VsidsHeapMixin, BatchedSolveMixin):
         self.restart_base = 64
         #: lazy VSIDS max-heap (see VsidsHeapMixin)
         self._heap: List[Tuple[float, int]] = []
+        #: per var, the activity of its live heap entry (-1.0: popped)
+        self._heap_act: List[float] = [-1.0]
         #: failed-assumption set of the most recent UNSAT-under-
         #: assumptions solve() (empty after SAT/UNKNOWN returns)
         self.conflict_assumptions: List[int] = []
@@ -145,10 +152,10 @@ class ArenaSolver(VsidsHeapMixin, BatchedSolveMixin):
             return
         old = self.num_vars
         grow = var - old
-        self.assign.extend([0] * grow)
         self.level.extend([0] * grow)
         self.reason.extend([NO_REASON] * grow)
         self.activity.extend([0.0] * grow)
+        self._heap_act.extend([-1.0] * grow)
         self._seen.extend([0] * grow)
         self.phase.extend(self._initial_phase(v)
                           for v in range(old + 1, var + 1))
@@ -165,7 +172,7 @@ class ArenaSolver(VsidsHeapMixin, BatchedSolveMixin):
         # length, so growth rebuilds the table — via slice copies: the
         # positive half keeps its positions, the negative half keeps
         # its distance from the end (callers add variables in bulk —
-        # add_cnf / _feed_solver ensure the max var first).
+        # add_cnf ensures the max var first).
         litval = [0] * (2 * var + 1)
         prev = self._litval
         if old:
@@ -188,71 +195,96 @@ class ArenaSolver(VsidsHeapMixin, BatchedSolveMixin):
         watches[self.arena[off + 1]].append(ref)
 
     def add_clause(self, lits: Iterable[int]) -> bool:
-        """Add a problem clause; returns False if it is trivially conflicting.
+        """Add one problem clause; returns False if the database is
+        trivially conflicting (see :meth:`add_clauses`)."""
+        return self.add_clauses((lits,))
 
+    def add_clauses(self, clauses: Sequence[Iterable[int]],
+                    start: int = 0) -> bool:
+        """Add the problem clauses ``clauses[start:]``; returns False
+        once the database is trivially conflicting.
+
+        Each clause is filtered against the level-0 assignment: a
+        tautology or an already-satisfied clause is dropped, duplicate
+        and level-0-false literals are removed, an empty result makes
+        the solver UNSAT, and a unit is enqueued and propagated at once.
         May be called between solve() calls (incremental use); any
         leftover search state is rolled back to decision level 0 first.
         """
         if not self.ok:
             return False
+        if start >= len(clauses):
+            return True
         if self.trail_lim:
             self._backtrack(0)
         # The loop below runs once per fed literal (hundreds of
-        # thousands per BMC unroll), so the var-growth check is inlined
-        # and the level-0 filter reads the literal-indexed table
-        # directly.  trail_lim is empty here (backtracked above), so
-        # every assignment seen is a level-0 fact.
-        clause = []
-        seen = set()
+        # thousands per BMC unroll), so the var-growth check, the
+        # clause allocation and the watch setup are inlined, and the
+        # level-0 filter reads the literal-indexed table directly.
+        # trail_lim stays empty here, so every assignment seen is a
+        # level-0 fact.  A literal's value is tested before its
+        # duplicates: a repeated or complementary literal of a level-0
+        # var is dropped or satisfies the clause either way, so only
+        # unassigned literals need the duplicate test, against the
+        # (short) kept clause.
         num_vars = self.num_vars
         litval = self._litval
-        for lit in lits:
-            if lit == 0:
-                raise SatError("literal 0 is not allowed")
-            if (lit if lit > 0 else -lit) > num_vars:
-                self._ensure_var(lit if lit > 0 else -lit)
-                num_vars = self.num_vars
-                litval = self._litval
-            if -lit in seen:
-                return True  # tautology
-            if lit in seen:
-                continue
-            seen.add(lit)
-            # At decision level 0 we can filter by the current assignment.
-            val = litval[lit]
-            if val:
-                if val == 1:
-                    return True  # already satisfied
-                continue  # already falsified at level 0 -> drop literal
-            clause.append(lit)
-        if not clause:
-            self.ok = False
-            return False
-        if len(clause) == 1:
-            if not self._enqueue(clause[0], NO_REASON):
-                self.ok = False
-                return False
-            if self._propagate() >= 0:
-                self.ok = False
-                return False
-            return True
-        ref = self._alloc(clause)
-        self.clauses.append(ref)
-        self._watch_clause(ref)
+        watches = self.watches
+        arena = self.arena
+        offs = self.c_offset
+        sizes = self.c_size
+        lbds = self.c_lbd
+        problem = self.clauses
+        for lits in (clauses[start:] if start else clauses):
+            clause = []
+            for lit in lits:
+                if (lit if lit > 0 else -lit) > num_vars or not lit:
+                    if not lit:
+                        raise SatError("literal 0 is not allowed")
+                    self._ensure_var(lit if lit > 0 else -lit)
+                    num_vars = self.num_vars
+                    litval = self._litval
+                    watches = self.watches
+                val = litval[lit]
+                if val:
+                    if val == 1:
+                        break  # already satisfied
+                    continue  # already falsified at level 0 -> drop literal
+                if lit in clause:
+                    continue
+                if -lit in clause:
+                    break  # tautology
+                clause.append(lit)
+            else:
+                size = len(clause)
+                if size > 1:
+                    ref = len(offs)
+                    offs.append(len(arena))
+                    sizes.append(size)
+                    lbds.append(0)
+                    arena.extend(clause)
+                    problem.append(ref)
+                    watches[clause[0]].append(ref)
+                    watches[clause[1]].append(ref)
+                    continue
+                if not size or not self._enqueue(clause[0], NO_REASON) \
+                        or self._propagate() >= 0:
+                    self.ok = False
+                    return False
         return True
 
-    def add_cnf(self, cnf: Cnf) -> None:
-        """Add every clause of a :class:`Cnf` formula."""
+    def add_cnf(self, cnf: Cnf, start: int = 0) -> bool:
+        """Add the clauses ``cnf.clauses[start:]`` of a :class:`Cnf`
+        formula, allocating all of its variables first."""
         self._ensure_var(cnf.num_vars)
-        for clause in cnf.clauses:
-            self.add_clause(clause)
+        return self.add_clauses(cnf.clauses, start)
 
     # ------------------------------------------------------------------
     # Assignment machinery
     # ------------------------------------------------------------------
     def _value(self, lit: int) -> int:
-        # litval is kept in lockstep with assign (see _ensure_var), so
-        # the sign-aware read is a single negative-index-capable lookup.
+        # litval is literal-indexed (see _ensure_var), so the
+        # sign-aware read is a single negative-index-capable lookup.
         return self._litval[lit]
 
     def _enqueue(self, lit: int, reason: int) -> bool:
@@ -262,7 +294,6 @@ class ArenaSolver(VsidsHeapMixin, BatchedSolveMixin):
         if val == -1:
             return False
         var = abs(lit)
-        self.assign[var] = 1 if lit > 0 else -1
         litval = self._litval
         litval[lit] = 1
         litval[-lit] = -1
@@ -283,25 +314,29 @@ class ArenaSolver(VsidsHeapMixin, BatchedSolveMixin):
         compaction (shifting survivors down over freed slots) starts at
         the first move.  On the BMC workload ~85% of passes never move
         a watch, so the per-entry keep-write would be pure overhead.
+
+        A binary clause never moves a watch, so both phases decide it
+        from its other literal alone and leave the arena as it is; its
+        literal order matters only when it is the conflict (a binary
+        reason contributes one literal to analysis whatever its order),
+        so a binary conflict is written in the normalized order
+        ``[other, false_lit]`` that ``_analyze`` reads.
         """
         arena = self.arena
         offs = self.c_offset
         sizes = self.c_size
         watches = self.watches
-        assign = self.assign
         litval = self._litval
         level = self.level
         reason = self.reason
         trail = self.trail
-        qhead = self.qhead
-        props = 0
+        qhead = start = self.qhead
         conflict = NO_REASON
         level_now = len(self.trail_lim)
         ntrail = len(trail)
         while qhead < ntrail:
             lit = trail[qhead]
             qhead += 1
-            props += 1
             false_lit = -lit
             wl = watches[false_lit]
             if not wl:
@@ -313,65 +348,31 @@ class ArenaSolver(VsidsHeapMixin, BatchedSolveMixin):
                 ref = wl[i]
                 i += 1
                 off = offs[ref]
-                # Normalize so arena[off+1] is the false literal.
+                size = sizes[ref]
                 first = arena[off]
-                if first == false_lit:
-                    first = arena[off + 1]
-                    arena[off] = first
-                    arena[off + 1] = false_lit
-                val_first = litval[first]
-                if val_first == 1:
-                    continue
-                # Look for a new watch.
-                k = off + 2
-                end = off + sizes[ref]
-                moved = False
-                while k < end:
-                    q = arena[k]
-                    if litval[q] != -1:
-                        arena[off + 1] = q
-                        arena[k] = false_lit
-                        watches[q].append(ref)
-                        moved = True
+                if size == 2:
+                    if first == false_lit:
+                        first = arena[off + 1]
+                    val_first = litval[first]
+                    if val_first == 1:
+                        continue
+                    if val_first == -1:
+                        arena[off] = first
+                        arena[off + 1] = false_lit
+                        conflict = ref  # list untouched so far: keep as is
                         break
-                    k += 1
-                if moved:
-                    j = i - 1  # freed slot; compaction takes over below
-                    break
-                if val_first == -1:
-                    conflict = ref  # list untouched so far: keep as is
-                    break
-                # Unit: enqueue first.
-                if first > 0:
-                    var = first
-                    assign[var] = 1
                 else:
-                    var = -first
-                    assign[var] = -1
-                litval[first] = 1
-                litval[-first] = -1
-                level[var] = level_now
-                reason[var] = ref
-                trail.append(first)
-                ntrail += 1
-            if j >= 0:
-                # Compaction phase: identical scan, survivors shift down.
-                while i < n:
-                    ref = wl[i]
-                    i += 1
-                    off = offs[ref]
-                    first = arena[off]
+                    # Normalize so arena[off+1] is the false literal.
                     if first == false_lit:
                         first = arena[off + 1]
                         arena[off] = first
                         arena[off + 1] = false_lit
                     val_first = litval[first]
                     if val_first == 1:
-                        wl[j] = ref
-                        j += 1
                         continue
+                    # Look for a new watch.
                     k = off + 2
-                    end = off + sizes[ref]
+                    end = off + size
                     moved = False
                     while k < end:
                         q = arena[k]
@@ -383,11 +384,66 @@ class ArenaSolver(VsidsHeapMixin, BatchedSolveMixin):
                             break
                         k += 1
                     if moved:
-                        continue
-                    wl[j] = ref
-                    j += 1
+                        j = i - 1  # freed slot; compaction takes over below
+                        break
+                    if val_first == -1:
+                        conflict = ref  # list untouched so far: keep as is
+                        break
+                # Unit: enqueue first.
+                litval[first] = 1
+                litval[-first] = -1
+                var = first if first > 0 else -first
+                level[var] = level_now
+                reason[var] = ref
+                trail.append(first)
+                ntrail += 1
+            if j >= 0:
+                # Compaction phase: identical scan, survivors shift down.
+                while i < n:
+                    ref = wl[i]
+                    i += 1
+                    off = offs[ref]
+                    size = sizes[ref]
+                    first = arena[off]
+                    if size == 2:
+                        if first == false_lit:
+                            first = arena[off + 1]
+                        val_first = litval[first]
+                        wl[j] = ref
+                        j += 1
+                        if val_first == 1:
+                            continue
+                    else:
+                        if first == false_lit:
+                            first = arena[off + 1]
+                            arena[off] = first
+                            arena[off + 1] = false_lit
+                        val_first = litval[first]
+                        if val_first == 1:
+                            wl[j] = ref
+                            j += 1
+                            continue
+                        k = off + 2
+                        end = off + size
+                        moved = False
+                        while k < end:
+                            q = arena[k]
+                            if litval[q] != -1:
+                                arena[off + 1] = q
+                                arena[k] = false_lit
+                                watches[q].append(ref)
+                                moved = True
+                                break
+                            k += 1
+                        if moved:
+                            continue
+                        wl[j] = ref
+                        j += 1
                     if val_first == -1:
                         # Conflict: keep remaining watches then report.
+                        if size == 2:
+                            arena[off] = first
+                            arena[off + 1] = false_lit
                         while i < n:
                             wl[j] = wl[i]
                             j += 1
@@ -395,14 +451,9 @@ class ArenaSolver(VsidsHeapMixin, BatchedSolveMixin):
                         conflict = ref
                         break
                     # Unit: enqueue first.
-                    if first > 0:
-                        var = first
-                        assign[var] = 1
-                    else:
-                        var = -first
-                        assign[var] = -1
                     litval[first] = 1
                     litval[-first] = -1
+                    var = first if first > 0 else -first
                     level[var] = level_now
                     reason[var] = ref
                     trail.append(first)
@@ -411,7 +462,7 @@ class ArenaSolver(VsidsHeapMixin, BatchedSolveMixin):
             if conflict >= 0:
                 break
         self.qhead = qhead
-        self.propagations += props
+        self.propagations += qhead - start
         return conflict
 
     # ------------------------------------------------------------------
@@ -519,33 +570,39 @@ class ArenaSolver(VsidsHeapMixin, BatchedSolveMixin):
         return len(levels)
 
     def _backtrack(self, target_level: int) -> None:
-        heap = self._heap
-        activity = self.activity
-        heappush = heapq.heappush
-        litval = self._litval
-        phase = self.phase
-        assign = self.assign
-        reason = self.reason
+        """Undo every level above ``target_level`` in one pass over the
+        trail, and set ``qhead`` to the trail's end.  Only a var whose
+        heap entry is stale (bumped, or popped, while it was assigned)
+        is pushed again; see VsidsHeapMixin.  ``reason`` is left as it
+        is: it is read only for assigned vars."""
         trail = self.trail
         trail_lim = self.trail_lim
-        while len(trail_lim) > target_level:
-            lim = trail_lim.pop()
+        if len(trail_lim) > target_level:
+            heap = self._heap
+            heap_act = self._heap_act
+            activity = self.activity
+            heappush = heapq.heappush
+            litval = self._litval
+            phase = self.phase
+            lim = trail_lim[target_level]
             for lit in trail[lim:]:
+                litval[lit] = 0
+                litval[-lit] = 0
                 if lit > 0:
                     var = lit
                     phase[var] = True
                 else:
                     var = -lit
                     phase[var] = False
-                assign[var] = 0
-                litval[lit] = 0
-                litval[-lit] = 0
-                reason[var] = NO_REASON
-                heappush(heap, (-activity[var], var))
+                act = activity[var]
+                if heap_act[var] != act:
+                    heap_act[var] = act
+                    heappush(heap, (-act, var))
             del trail[lim:]
+            del trail_lim[target_level:]
+            if len(heap) > 4 * self.num_vars + 16:
+                self._heap_rebuild()
         self.qhead = len(trail)
-        if len(heap) > 4 * self.num_vars + 16:
-            self._heap_rebuild()
 
     # ------------------------------------------------------------------
     # Learned clause DB management
@@ -557,11 +614,9 @@ class ArenaSolver(VsidsHeapMixin, BatchedSolveMixin):
         sizes = self.c_size
         scored = sorted(self.learned, key=lambda r: (lbd[r], sizes[r]))
         keep = set(scored[: len(scored) // 2])
-        locked = set()
+        # A clause is locked while it is the reason of an assigned var.
         reason = self.reason
-        for var in range(1, self.num_vars + 1):
-            if reason[var] >= 0:
-                locked.add(reason[var])
+        locked = {reason[lit if lit > 0 else -lit] for lit in self.trail}
         removed = [r for r in self.learned
                    if r not in keep and r not in locked and sizes[r] > 2]
         if not removed:
@@ -737,7 +792,7 @@ class ArenaSolver(VsidsHeapMixin, BatchedSolveMixin):
             ref = self.reason[var]
             if ref < 0:
                 if self.level[var] > 0:
-                    out.append(var if self.assign[var] == 1 else -var)
+                    out.append(var if self._litval[var] == 1 else -var)
             else:
                 off = offs[ref]
                 for lit in arena[off:off + sizes[ref]]:
@@ -756,10 +811,9 @@ class ArenaSolver(VsidsHeapMixin, BatchedSolveMixin):
 
     def model(self) -> List[int]:
         """The full model as a list of literals (after SAT)."""
-        out = []
-        for var in range(1, self.num_vars + 1):
-            out.append(var if self.assign[var] == 1 else -var)
-        return out
+        litval = self._litval
+        return [var if litval[var] == 1 else -var
+                for var in range(1, self.num_vars + 1)]
 
     def arena_bytes(self) -> int:
         """Approximate bytes held by the literal arena plus the header

@@ -59,12 +59,19 @@ class VsidsHeapMixin:
     ``tests/unit/test_sat_fuzz.py``).
 
     Laziness: VSIDS bumps touch only trail (assigned) variables, so a
-    bump never repairs the heap — the var re-enters with a fresh
-    snapshot when backtracking unassigns it.  Stale entries (vars
-    assigned since their push, or superseded snapshots) are discarded
-    as they surface in ``_pick_branch_var``; a size trigger rebuilds
-    the heap from the unassigned vars before duplicates accumulate
-    beyond a small multiple of the variable count.
+    bump never repairs the heap.  ``_heap_act[var]`` is the activity
+    snapshot of the var's live entry, or ``-1.0`` once
+    ``_pick_branch_var`` has popped it; backtracking pushes a fresh
+    entry for an unassigned var only when that snapshot is stale (the
+    var was bumped, or its entry popped, while it was assigned).  So
+    every unassigned var has exactly one current entry, and the pop
+    order over the total order above is unchanged.  Superseded
+    snapshots hold a strictly lower activity than the current entry
+    (activity only grows between rescales, and a rescale rebuilds the
+    heap), so they surface only once the var is assigned again, and are
+    discarded then; a size trigger rebuilds the heap from the
+    unassigned vars before duplicates accumulate beyond a small
+    multiple of the variable count.
     """
 
     def _rescale_activity(self) -> None:
@@ -77,29 +84,40 @@ class VsidsHeapMixin:
         self._heap_rebuild()
 
     def _heap_rebuild(self) -> None:
-        assign = self.assign
+        litval = self._litval
         activity = self.activity
-        self._heap = [(-activity[v], v)
-                      for v in range(1, self.num_vars + 1)
-                      if assign[v] == 0]
-        heapq.heapify(self._heap)
+        heap_act = self._heap_act
+        heap = []
+        for v in range(1, self.num_vars + 1):
+            if litval[v] == 0:
+                act = activity[v]
+                heap_act[v] = act
+                heap.append((-act, v))
+            else:
+                heap_act[v] = -1.0
+        heapq.heapify(heap)
+        self._heap = heap
 
     def _heap_insert(self, var: int) -> None:
-        heapq.heappush(self._heap, (-self.activity[var], var))
+        act = self.activity[var]
+        self._heap_act[var] = act
+        heapq.heappush(self._heap, (-act, var))
 
     def _pick_branch_var(self) -> int:
         # Lazy deletion: pop until an unassigned variable surfaces.  An
-        # unassigned var always carries a current-snapshot entry
-        # (pushed at its latest unassign), and activity only grows
-        # between rescales, so a stale duplicate can only surface after
-        # the current entry — by which time the var is assigned and
-        # skipped.
-        assign = self.assign
+        # unassigned var always carries a current-snapshot entry, which
+        # surfaces before any of its superseded ones; popping the live
+        # entry of an assigned var marks it gone, so the var is pushed
+        # again when backtracking unassigns it.
+        litval = self._litval
+        heap_act = self._heap_act
         heap = self._heap
         pop = heapq.heappop
         while heap:
-            var = pop(heap)[1]
-            if assign[var] == 0:
+            neg_act, var = pop(heap)
+            if heap_act[var] == -neg_act:
+                heap_act[var] = -1.0
+            if litval[var] == 0:
                 return var
         return 0
 

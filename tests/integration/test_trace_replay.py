@@ -8,6 +8,10 @@ through the failure cycle, every assertion before it, and violate an
 assertion at it; and every wire and memory cell the trace reports must
 equal the simulated value, including the bits the engine filled in by
 simulation because they lie outside the property's cone.
+
+The same two runs pin the SAT search trajectory at the engine level:
+any change to branching, propagation, learning or the BMC encoding
+moves their conflict, decision or propagation counts.
 """
 
 import pytest
@@ -16,6 +20,13 @@ from repro import PropertyChecker, synthesize_uspec
 from repro.sim import Simulator
 
 SCOPE = ["core_gen[0].core.inst_DX", "the_mem.mem"]
+
+#: checker counters of each run: (sat_conflicts, sat_decisions,
+#: sat_propagations, sat_solves, bmc_frames)
+TRAJECTORY = {
+    "mono": (4617, 19200, 1908804, 269, 254),
+    "compose": (4788, 17845, 1687461, 283, 267),
+}
 
 
 class RecordingChecker(PropertyChecker):
@@ -33,12 +44,26 @@ class RecordingChecker(PropertyChecker):
 
 
 @pytest.fixture(scope="module", params=["mono", "compose"])
-def refutations(request):
+def run(request):
     checker = RecordingChecker(bound=12, max_k=1)
     synthesize_uspec(checker=checker, candidate_filter=SCOPE,
                      compose=request.param == "compose")
     assert checker.refuted
-    return checker.refuted
+    return request.param, checker
+
+
+@pytest.fixture
+def refutations(run):
+    return run[1].refuted
+
+
+def test_search_trajectory_pinned(run):
+    mode, checker = run
+    stats = checker.stats
+    got = tuple(int(stats[key]) for key in (
+        "sat_conflicts", "sat_decisions", "sat_propagations",
+        "sat_solves", "bmc_frames"))
+    assert got == TRAJECTORY[mode]
 
 
 def replay(problem, trace):

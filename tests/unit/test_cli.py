@@ -120,6 +120,22 @@ def test_check_report_json(capsys, reference_model, tmp_path):
     assert report["tests"][0]["stats"]["clauses"] > 0
 
 
+def test_warm_synth_cache_reruns_no_refutation(capsys, tmp_path):
+    """A warm ``synth --cache`` serves cached refutations as they are:
+    neither the report nor the .uarch reads a counterexample trace."""
+    cache = str(tmp_path / "verdicts.json")
+    argv = ["synth", "--bound", "4", "--max-k", "1", "--candidates",
+            "core_gen[0].core.inst_DX,the_mem.mem", "--cache", cache]
+    assert main(argv + ["-o", str(tmp_path / "cold.uarch")]) == 0
+    cold = capsys.readouterr().out
+    assert " refuted" in cold and " 0 refuted" not in cold
+    assert main(argv + ["-o", str(tmp_path / "warm.uarch")]) == 0
+    warm = capsys.readouterr().out
+    assert "0 misses, 0 trace re-runs" in warm
+    assert (tmp_path / "warm.uarch").read_bytes() == \
+        (tmp_path / "cold.uarch").read_bytes()
+
+
 class TestGenerateCli:
     def test_streams_named_programs(self, capsys):
         assert main(["generate", "threads=2,len=2", "--count", "5"]) == 0

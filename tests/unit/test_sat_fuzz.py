@@ -19,6 +19,8 @@ from repro.sat import SAT, UNSAT, ArenaSolver
 
 NUM_VARS = 8
 ROUNDS = 60
+#: variables of the (not brute-forced) heap-invariant corpus
+WIDE_VARS = 40
 
 #: sha256 of each seeded corpus's trajectory rows (see TestTrajectoryPins)
 PINS = {
@@ -246,6 +248,49 @@ class TestTrajectoryPins:
         status = solver.solve()
         assert solver.reductions > 0  # reduce-db actually fired
         assert trajectory(status, solver) == PHP_TRAJECTORY
+
+
+class TestLazyHeapInvariant:
+    """Backtracking pushes a var back onto the VSIDS heap only when its
+    live entry is stale, which is sound only if every unassigned var
+    still has exactly its current-activity entry afterwards."""
+
+    def test_unassigned_vars_keep_a_current_heap_entry(self):
+        rng = random.Random(0x4EA9)
+        checked = 0
+        for round_no in range(ROUNDS // 2):
+            solver = stressed_solver()
+            backtrack = solver._backtrack
+
+            def checked_backtrack(target_level, solver=solver,
+                                  backtrack=backtrack):
+                nonlocal checked
+                backtrack(target_level)
+                entries = set(solver._heap)
+                for var in range(1, solver.num_vars + 1):
+                    if solver._litval[var] == 0:
+                        act = solver.activity[var]
+                        assert solver._heap_act[var] == act, \
+                            f"seed=0x4EA9 round={round_no} var={var}"
+                        assert (-act, var) in entries, \
+                            f"seed=0x4EA9 round={round_no} var={var}"
+                checked += 1
+            solver._backtrack = checked_backtrack
+            # Random 3-SAT near the threshold, wider than the
+            # brute-force corpora, so searches run through many
+            # conflicts, restarts and reductions.
+            for _ in range(int(WIDE_VARS * 4.2)):
+                vs = rng.sample(range(1, WIDE_VARS + 1), 3)
+                solver.add_clause([v if rng.random() < 0.5 else -v
+                                   for v in vs])
+            for _ in range(3):
+                k = rng.randint(0, 3)
+                vs = rng.sample(range(1, WIDE_VARS + 1), k)
+                solver.solve(assumptions=[v if rng.random() < 0.5 else -v
+                                          for v in vs])
+                if not solver.ok:
+                    break
+        assert checked > 1000  # backtracks actually exercised
 
 
 class TestSolveBatch:
