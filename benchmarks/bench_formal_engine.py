@@ -7,18 +7,17 @@ SVA, frame-by-frame BMC, monotone k-escalation, shared bitblast):
 * ``incremental_arena`` — serial discharge;
 * ``arena_parallel``    — the same at ``--jobs N`` (skipped on a
   1-CPU host);
-* ``arena_portfolio``   — three diversified solver configs raced per
-  property;
 * ``compose_serial`` / ``compose_parallel`` — hierarchical
   compositional synthesis.
 
 Every monolithic row must produce the identical per-SVA verdict digest
 and byte-identical ``.uarch`` text, and the compose rows the same
 ``.uarch`` and verdict trichotomy (asserted); timings land in
-``BENCH_synth.json``.  The record's ``before`` section (the last run
-that still timed the retired one-shot engine, ``scan`` branch order
-and per-clause-object SAT core, including the 168 s seed row) is
-carried over unchanged when the file is rewritten.
+``BENCH_synth.json``.  Rewriting the file nests the previous record
+under ``before``, so the chain of ``before`` sections keeps every
+earlier run, including stages that no longer exist (the one-shot
+engine, ``scan`` branch order, the per-clause-object SAT core, the
+168 s seed row and the ``arena_portfolio`` racer).
 
 Standalone (not a pytest-benchmark module)::
 
@@ -53,12 +52,12 @@ def verdict_digest(result) -> str:
     return hasher.hexdigest()
 
 
-def run_stage(name, jobs, candidates, compose=False, portfolio=1):
+def run_stage(name, jobs, candidates, compose=False):
     from repro import synthesize_uspec
     from repro.formal import PropertyChecker
     from repro.uspec import format_model
 
-    checker = PropertyChecker(bound=12, max_k=2, portfolio=portfolio)
+    checker = PropertyChecker(bound=12, max_k=2)
     start = time.perf_counter()
     result = synthesize_uspec(checker=checker, jobs=jobs,
                               candidate_filter=candidates, compose=compose)
@@ -72,7 +71,6 @@ def run_stage(name, jobs, candidates, compose=False, portfolio=1):
           (f", {discharge.fingerprint_dedup} deduped" if compose else ""))
     return {
         "name": name,
-        "portfolio": portfolio,
         "jobs": jobs,
         "compose": compose,
         "seconds": round(elapsed, 3),
@@ -126,15 +124,8 @@ def main(argv=None):
         print(f"skipping --jobs {args.jobs} parity rows: {parallel_skipped}")
     parity = []
     if parallel_skipped is None:
-        print(f"jobs and portfolio parity (--jobs {args.jobs}):")
-        parity = [
-            run_stage("arena_parallel", args.jobs, candidates),
-            # Portfolio racing is held to the same strict per-verdict
-            # digest: statuses, methods, bounds, and induction depths
-            # are formula-determined, so the winning config cannot
-            # change them — only REFUTED traces (unhashed) may differ.
-            run_stage("arena_portfolio", 1, candidates, portfolio=3),
-        ]
+        print(f"jobs parity (--jobs {args.jobs}):")
+        parity = [run_stage("arena_parallel", args.jobs, candidates)]
 
     print("compose vs monolithic (hierarchical compositional synthesis):")
     compose_rows = [
@@ -167,7 +158,7 @@ def main(argv=None):
     before = None
     if os.path.exists(args.output):
         with open(args.output, "r", encoding="utf-8") as handle:
-            before = json.load(handle).get("before")
+            before = json.load(handle)
     record = {
         "schema": "repro-bench-synth/4",
         "scope": scope,

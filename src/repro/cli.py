@@ -128,8 +128,7 @@ def _cmd_synth(args: argparse.Namespace) -> int:
     from .formal import PropertyChecker
     from .uspec import format_model
 
-    engine_checker = PropertyChecker(bound=args.bound, max_k=args.max_k,
-                                     portfolio=args.portfolio)
+    engine_checker = PropertyChecker(bound=args.bound, max_k=args.max_k)
     checker = engine_checker
     cache = None
     if args.cache:
@@ -181,9 +180,6 @@ def _cmd_synth(args: argparse.Namespace) -> int:
                                "sat_conflicts", "sat_decisions",
                                "sat_reductions", "arena_bytes")}
         profile["sat_seconds"] = round(engine_stats.get("sat_time", 0.0), 3)
-        for key in sorted(engine_stats):
-            if key.startswith("portfolio_"):
-                profile[key] = int(engine_stats[key])
         print(f"sat profile: {json.dumps(profile, sort_keys=True)}")
     # The digest is the A/B parity anchor: --compose and --monolithic
     # runs of the same design must print the same value.
@@ -775,11 +771,6 @@ def main(argv: Optional[List[str]] = None) -> int:
                               "conservative UNKNOWN verdict)")
     p_synth.add_argument("-j", "--jobs", type=int, default=0,
                          help=JOBS_HELP)
-    p_synth.add_argument("--portfolio", type=int, default=1,
-                         help="race N diversified solver configs per "
-                              "property via worker processes; first "
-                              "finisher wins (verdict digest unchanged; "
-                              "1 = off)")
     p_synth.add_argument("--profile-sat", action="store_true",
                          help="print per-phase SAT counters "
                               "(propagations, conflicts, reductions, "

@@ -23,7 +23,6 @@ from .engine import (
 )
 from .faults import FaultPlan, FaultyPropertyChecker
 from .journal import VerdictJournal
-from .portfolio import portfolio_configs, race_check
 from .scheduler import DischargeScheduler, DischargeStats
 from .trace import Trace, extract_trace, trace_to_vcd
 from .unroll import Unroller
@@ -53,8 +52,6 @@ __all__ = [
     "VerdictJournal",
     "FaultPlan",
     "FaultyPropertyChecker",
-    "portfolio_configs",
-    "race_check",
     "PROVEN",
     "REFUTED",
     "PROVEN_BOUNDED",

@@ -125,18 +125,13 @@ class CheckParams:
     """Picklable per-check parameters for worker-side execution.
 
     ``timeout_seconds``/``max_conflicts`` are per-check budgets (None =
-    the checker's own defaults).  ``task_index`` and ``attempt`` are
-    scheduler bookkeeping: the deterministic execution index of the
-    obligation and how many retries preceded this call.  The engine
-    ignores them; the fault-injection harness keys on them.
+    the checker's own defaults).
     """
 
     bound: Optional[int] = None
     prove: bool = True
     timeout_seconds: Optional[float] = None
     max_conflicts: Optional[int] = None
-    task_index: int = -1
-    attempt: int = 0
 
 
 class PropertyChecker:
@@ -145,27 +140,12 @@ class PropertyChecker:
     def __init__(self, bound: int = 14, max_k: int = 12,
                  max_conflicts: Optional[int] = None,
                  timeout_seconds: Optional[float] = None,
-                 phase_seed: int = 0,
-                 restart_base: Optional[int] = None,
-                 portfolio: int = 1,
                  blast_cache_size: int = 64,
                  blast_cache: Optional[BlastCache] = None):
-        if portfolio < 1:
-            raise ValueError(f"portfolio size must be >= 1, got {portfolio}")
         self.bound = bound
         self.max_k = max_k
         self.max_conflicts = max_conflicts
         self.timeout_seconds = timeout_seconds
-        # Portfolio diversification knobs (see repro.formal.portfolio):
-        # phase_seed perturbs initial saved phases, restart_base overrides
-        # the solver's Luby restart unit.  Defaults reproduce the
-        # historical trajectory exactly.
-        self.phase_seed = phase_seed
-        self.restart_base = restart_base
-        #: race N diversified configs per check (1 = no racing); see
-        #: repro.formal.portfolio
-        self.portfolio = portfolio
-        self._in_race = False
         self.blast_cache_size = blast_cache_size
         # ``blast_cache`` injects a custom cache (e.g. the service's
         # store-backed PersistentBlastCache); workers unpickling this
@@ -183,13 +163,6 @@ class PropertyChecker:
             "sat_decisions": 0, "sat_reductions": 0, "arena_bytes": 0,
         }
         self._arena_bytes_peak = 0
-
-    def _new_solver(self) -> ArenaSolver:
-        """A fresh CDCL core with the checker's portfolio knobs."""
-        solver = ArenaSolver(phase_seed=self.phase_seed)
-        if self.restart_base is not None:
-            solver.restart_base = self.restart_base
-        return solver
 
     def _timed_solve(self, solver, **kwargs) -> str:
         """``solver.solve(**kwargs)`` with wall time and per-phase SAT
@@ -237,14 +210,6 @@ class PropertyChecker:
         an exhausted budget during induction soundly degrades the
         result to PROVEN_BOUNDED, since BMC already cleared the bound.
         """
-        if self.portfolio > 1 and not self._in_race:
-            from ..resilience.pool import worker_state
-            if not worker_state().get("in_worker"):
-                from .portfolio import race_check
-                return race_check(self, problem, CheckParams(
-                    bound=bound, prove=prove,
-                    timeout_seconds=timeout_seconds,
-                    max_conflicts=max_conflicts))
         start = time.perf_counter()
         bound = bound if bound is not None else self.bound
         timeout = timeout_seconds if timeout_seconds is not None \
@@ -355,7 +320,7 @@ class PropertyChecker:
         """
         cnf = Cnf()
         unroller = Unroller(design, cnf, self._unroll_roots(problem, netlist))
-        solver = self._new_solver()
+        solver = ArenaSolver()
         fed = 0
         has_reset = problem.reset_input in netlist.inputs
         prefix_ok = cnf.true_lit
@@ -410,7 +375,7 @@ class PropertyChecker:
         cnf = Cnf()
         unroller = Unroller(design, cnf, self._unroll_roots(problem, netlist),
                             free_initial_state=True)
-        solver = self._new_solver()
+        solver = ArenaSolver()
         fed = 0
         has_reset = problem.reset_input in netlist.inputs
         # Frame 0 starts clean: post-reset operation with assumptions

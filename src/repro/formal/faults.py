@@ -1,97 +1,49 @@
 """Deterministic fault injection for the discharge pipeline.
 
-The fault-tolerance machinery in :class:`DischargeScheduler` — pool
-rebuilds, bounded retries, watchdog timeouts, garbage-verdict
+The fault-tolerance machinery the discharge scheduler runs on — pool
+rebuilds, bounded retries, watchdog timeouts, garbage-result
 validation — is only trustworthy if it can be *proven* not to change
-synthesized models.  This module supplies the test harness for that
-proof: a :class:`FaultyPropertyChecker` that wraps any checker and
-injects failures at exact, reproducible points of the discharge
-schedule.
-
-The schedule itself is the layer-neutral
-:class:`repro.resilience.faults.FaultPlan` (extracted from this module;
-the Check layer's pool injects from the same class).  Here faults are
-keyed by the obligation's deterministic execution index
-(``CheckParams.task_index``, assigned by the scheduler in plan order,
-identical across job counts) and the retry ``attempt`` number:
+synthesized models.  A :class:`FaultyPropertyChecker` is the test
+harness for that proof: it pairs a checker with a
+:class:`repro.resilience.faults.FaultPlan`, and
+:class:`repro.formal.scheduler.DischargeScheduler` unwraps the pair,
+decides with the checker and hands the plan to its
+:class:`repro.resilience.pool.WorkerPool`.  The pool is the one place
+a plan fires (see :mod:`repro.resilience.pool`), keyed by the
+obligation's deterministic execution index — assigned by the scheduler
+in plan order, identical across job counts — and the retry attempt:
 
 * ``crash`` — the worker process dies (``os._exit``) so the parent
   observes a real ``BrokenProcessPool``; on the inline path the same
   schedule raises :class:`WorkerCrashError` instead.
 * ``hang``  — a simulated wall-clock timeout: raises
   :class:`DischargeTimeout` (avoiding real multi-second sleeps in
-  tests) which the scheduler treats exactly like a watchdog firing.
-* ``garbage`` — returns a malformed verdict (bogus status, negative
-  times) that the scheduler's validation must reject and retry.
-* ``interrupt`` — raises ``KeyboardInterrupt`` at the check site: a
-  deterministic stand-in for Ctrl-C landing mid-discharge, exercising
-  the journal-checkpoint-and-resume path.
+  tests) which the pool treats exactly like a watchdog firing.
+* ``garbage`` — the task yields a malformed result that the pool's
+  validation must reject and retry.
+* ``interrupt`` — ``KeyboardInterrupt`` in the parent where the
+  obligation's verdict would be consumed: a deterministic stand-in for
+  Ctrl-C landing mid-discharge, exercising the journal-checkpoint-and-
+  resume path.
 
 By default a site faults only on attempt 0 (``attempts=1``), so the
-scheduler's first retry succeeds and the run must converge to the
-byte-identical fault-free model.
+first retry succeeds and the run must converge to the byte-identical
+fault-free model.
 """
 
 from __future__ import annotations
 
-import os
-from typing import Dict, Optional
+from typing import NamedTuple
 
-from ..errors import DischargeTimeout, WorkerCrashError
 from ..resilience.faults import CRASH, GARBAGE, HANG, INTERRUPT, FaultPlan
-from .engine import CheckParams, Verdict
 
 __all__ = ["CRASH", "HANG", "GARBAGE", "INTERRUPT", "FaultPlan",
            "FaultyPropertyChecker"]
 
 
-def _in_pool_worker() -> bool:
-    """True when executing inside a discharge pool worker process."""
-    from .scheduler import _WORKER_STATE
-    return bool(_WORKER_STATE.get("in_worker"))
+class FaultyPropertyChecker(NamedTuple):
+    """A property checker (bare or caching) paired with the fault plan
+    its discharge scheduler's worker pool executes."""
 
-
-class FaultyPropertyChecker:
-    """A :class:`PropertyChecker` lookalike that executes a fault plan.
-
-    Drop-in for the raw checker anywhere the scheduler accepts one
-    (including pickling into pool workers); checks not named by the
-    plan are delegated unchanged.
-    """
-
-    def __init__(self, checker, plan: FaultPlan):
-        self.checker = checker
-        self.plan = plan
-        # Mirror the wrapped checker's scheduler-facing surface.
-        self.bound = checker.bound
-        self.max_k = checker.max_k
-
-    @property
-    def stats(self) -> Dict[str, float]:
-        return self.checker.stats
-
-    def check_problem(self, problem, params: Optional[CheckParams] = None) -> Verdict:
-        params = params or CheckParams()
-        fault = self.plan.fault_for(params.task_index, params.attempt)
-        if fault == CRASH:
-            if self.plan.hard_crashes and _in_pool_worker():
-                os._exit(43)  # hard death: parent sees BrokenProcessPool
-            raise WorkerCrashError(
-                f"injected crash at task {params.task_index} "
-                f"attempt {params.attempt}")
-        if fault == HANG:
-            raise DischargeTimeout(
-                f"injected hang at task {params.task_index} "
-                f"attempt {params.attempt}")
-        if fault == GARBAGE:
-            return Verdict(status="SOLVED???", method="fault-injection",
-                           bound=-7, time_seconds=-1.0, name=problem.name)
-        if fault == INTERRUPT:
-            raise KeyboardInterrupt(
-                f"injected interrupt at task {params.task_index} "
-                f"attempt {params.attempt}")
-        return self.checker.check_problem(problem, params)
-
-    def check(self, problem, bound=None, prove=True, **kwargs) -> Verdict:
-        """Direct checks bypass injection (no scheduler task identity)."""
-        return self.checker.check(problem, bound=bound, prove=prove, **kwargs)
+    checker: object
+    plan: FaultPlan

@@ -6,8 +6,10 @@ execute half of plan/execute).
 every obligation whose dependencies are resolved forms the next batch,
 gates (the section-6.2 relaxed-optimization fallbacks) are evaluated
 against the verdicts collected so far, and the surviving obligations
-are checked — inline for ``jobs=1`` (bit-for-bit the old serial
-behavior), or on a ``ProcessPoolExecutor`` for ``jobs>1``.
+are checked on one :class:`repro.resilience.pool.WorkerPool` that the
+scheduler holds across all of its batches and rounds — inline for
+``jobs=1`` (bit-for-bit the serial behavior), on ``jobs`` worker
+processes otherwise.
 
 Cache-aware batching: when the wrapped checker carries a
 :class:`VerdictCache`, every obligation is fingerprinted and probed *at
@@ -21,17 +23,19 @@ and the raw :class:`PropertyChecker`; per-task payloads are just
 ``(builder-name, args, params)`` tuples, so the netlist crosses the
 process boundary once per worker rather than once per obligation.
 Workers return ``(verdict, stats_delta)`` so per-worker engine counters
-(checks, SAT time) are merged back into the parent's statistics.
+(checks, SAT time) are merged back into the parent's statistics.  The
+inline path decides the problem already built at plan time.
 
-Fault tolerance: a worker death (``BrokenProcessPool``), a hung check
-(watchdog timeout on the future), a simulated timeout
-(:class:`DischargeTimeout`), or a garbage verdict never aborts the
-run.  The failed obligation is retried with bounded exponential
-backoff on a rebuilt pool, and after ``max_retries`` failures it runs
-inline in the parent process — a crashing worker can change the wall
-clock, never the synthesized model.  Checks that exhaust their own
-wall-clock/conflict budgets return first-class UNKNOWN verdicts, which
-downstream consumers treat conservatively.
+Fault tolerance is the pool's: a worker death, a hung check, a
+simulated timeout (:class:`DischargeTimeout`), or a garbage verdict is
+retried with bounded backoff on a rebuilt executor, and after
+``max_retries`` failures the obligation runs inline in the parent — a
+crashing worker can change the wall clock, never the synthesized model.
+A :class:`repro.formal.faults.FaultyPropertyChecker` hands the
+scheduler a fault plan, which the pool fires at plan-order task
+indices.  Checks that exhaust their own wall-clock/conflict budgets
+return first-class UNKNOWN verdicts, which downstream consumers treat
+conservatively.
 
 Checkpointing: with a :class:`repro.formal.journal.VerdictJournal`
 attached, every freshly decided verdict is appended and fsynced once
@@ -47,52 +51,35 @@ the same verdict map (and hence byte-identical synthesized models) as
 from __future__ import annotations
 
 import time
-from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
-from concurrent.futures import TimeoutError as FuturesTimeout
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Tuple
 
-from ..errors import DischargeTimeout, FormalError, WorkerCrashError
-from ..resilience.backoff import BackoffSchedule
-from ..resilience.pool import resolve_jobs
+from ..errors import FormalError
+from ..resilience.pool import PoolStats, WorkerPool, resolve_jobs, \
+    worker_state
 from .cache import CachingPropertyChecker, VerdictCache, problem_fingerprint
 from .engine import VERDICT_STATUSES, CheckParams, PropertyChecker, Verdict
+from .faults import FaultyPropertyChecker
 from .journal import VerdictJournal
 
+
 # ----------------------------------------------------------------------
-# Worker-process plumbing (top level: must be picklable / importable)
+# Worker-side task (top level: must be picklable / importable)
 # ----------------------------------------------------------------------
-_WORKER_STATE: Dict[str, object] = {}
-
-#: exceptions that mark one check as failed-but-retryable
-_RETRYABLE = (DischargeTimeout, WorkerCrashError)
-#: exceptions that mean the pool itself must be rebuilt
-_POOL_FAILURES = (BrokenProcessPool, BrokenExecutor)
-
-
-def _worker_init(factory, engine) -> None:
-    """Pool initializer: receive the factory and checker once."""
-    _WORKER_STATE["factory"] = factory
-    _WORKER_STATE["engine"] = engine
-    _WORKER_STATE["in_worker"] = True
-    # Mark the shared resilience-pool state too: portfolio racing keys
-    # on it to refuse nesting a race pool inside a discharge worker.
-    from ..resilience.pool import worker_state
-    worker_state()["in_worker"] = True
-
-
-def _worker_check(builder: str, args: Tuple, params: CheckParams
-                  ) -> Tuple[Verdict, Dict[str, float]]:
+def _worker_check(item) -> Tuple[Verdict, Dict[str, float]]:
     """Build one obligation's problem in the worker and decide it.
 
-    Returns the verdict together with the delta of the worker engine's
-    statistics for this one check, so the parent can merge per-worker
-    counters instead of silently dropping them.
+    ``item`` is ``(batch-index, builder, args, params)``; the index is
+    for the parent's inline path only.  Returns the verdict together
+    with the delta of the worker engine's statistics for this one
+    check, so the parent can merge per-worker counters instead of
+    silently dropping them.
     """
     from ..core.obligations import build_problem
-    problem = build_problem(_WORKER_STATE["factory"], builder, args)
-    engine = _WORKER_STATE["engine"]
+    _, builder, args, params = item
+    state = worker_state()
+    problem = build_problem(state["factory"], builder, args)
+    engine = state["engine"]
     before = dict(engine.stats)
     verdict = engine.check_problem(problem, params)
     delta = {key: value - before.get(key, 0)
@@ -100,9 +87,10 @@ def _worker_check(builder: str, args: Tuple, params: CheckParams
     return verdict, delta
 
 
-def _verdict_valid(verdict) -> bool:
-    """Reject garbage from a misbehaving worker before it can poison
-    the verdict map (fault-injection contract)."""
+def _result_valid(result) -> bool:
+    """Reject garbage from a misbehaving checker before it can poison
+    the verdict map."""
+    verdict = result[0] if isinstance(result, tuple) else None
     return (isinstance(verdict, Verdict)
             and verdict.status in VERDICT_STATUSES
             and isinstance(verdict.time_seconds, float)
@@ -112,6 +100,11 @@ def _verdict_valid(verdict) -> bool:
 # ----------------------------------------------------------------------
 # Statistics
 # ----------------------------------------------------------------------
+def _pool_counter(name: str) -> property:
+    """A read-only view of one of the pool's :class:`PoolStats` counters."""
+    return property(lambda self: getattr(self.pool, name))
+
+
 @dataclass
 class DischargeStats:
     """Counters for one scheduler's lifetime (all discharge rounds)."""
@@ -127,22 +120,26 @@ class DischargeStats:
     journal_hits: int = 0     # verdicts replayed from the resume journal
     batches: int = 0          # topological waves executed
     rounds: int = 0           # discharge() calls
-    pool_tasks: int = 0       # obligations that crossed the process boundary
-    retries: int = 0          # re-submissions after a recoverable failure
-    worker_crashes: int = 0   # dead workers / broken pools observed
-    timeouts: int = 0         # watchdog or simulated check timeouts
-    garbage_verdicts: int = 0  # malformed verdicts rejected by validation
-    inline_fallbacks: int = 0  # obligations that fell back to the parent
-    pool_rebuilds: int = 0    # fresh pools built after a kill (backoff paid)
     unknowns: int = 0         # first-class UNKNOWN verdicts (budget hits)
     fingerprint_dedup: int = 0  # isomorphic problems served from a prior run
     #: module name -> {"executed": n, "dedupe": m} for share-base problems
     per_module: Dict[str, Dict[str, int]] = field(default_factory=dict)
     wall_seconds: float = 0.0
     check_seconds: float = 0.0  # sum of per-verdict times (CPU, not wall)
+    #: the worker pool's own fault/recovery counters, read through the
+    #: properties below
+    pool: PoolStats = field(default_factory=PoolStats)
+
+    pool_tasks = _pool_counter("pool_tasks")
+    retries = _pool_counter("retries")
+    worker_crashes = _pool_counter("worker_crashes")
+    timeouts = _pool_counter("timeouts")
+    garbage_verdicts = _pool_counter("garbage_results")
+    inline_fallbacks = _pool_counter("inline_fallbacks")
+    pool_rebuilds = _pool_counter("pool_rebuilds")
 
     def faults_observed(self) -> int:
-        return self.worker_crashes + self.timeouts + self.garbage_verdicts
+        return self.pool.faults_observed()
 
     def summary(self) -> str:
         lines = [
@@ -190,8 +187,9 @@ class DischargeScheduler:
 
     ``checker`` may be a bare :class:`PropertyChecker` or a
     :class:`CachingPropertyChecker`; in the latter case the scheduler
-    takes over the cache so probes happen at plan time.  ``jobs<=0``
-    means ``os.cpu_count()``.
+    takes over the cache so probes happen at plan time.  A
+    :class:`FaultyPropertyChecker` around either hands its fault plan
+    to the worker pool.  ``jobs<=0`` means ``os.cpu_count()``.
 
     Fault-tolerance knobs: ``timeout_seconds`` is the per-SVA
     wall-clock budget handed to each check (exhaustion = UNKNOWN);
@@ -217,6 +215,9 @@ class DischargeScheduler:
         #: the first instance's verdict instead of spawning a check
         self.dedupe = dedupe
         self._decided: Dict[str, Verdict] = {}
+        fault_plan = None
+        if isinstance(checker, FaultyPropertyChecker):
+            checker, fault_plan = checker
         if isinstance(checker, CachingPropertyChecker):
             self._engine: PropertyChecker = checker.checker
             self._cache: Optional[VerdictCache] = checker.cache
@@ -226,18 +227,25 @@ class DischargeScheduler:
             self._cache = None
             self._need_traces = False
         self._journal = journal
-        self.timeout_seconds = timeout_seconds
-        self.watchdog_seconds = watchdog_seconds
-        self.max_retries = max(0, max_retries)
-        self.retry_backoff = retry_backoff
-        self.schedule = BackoffSchedule(base=retry_backoff)
         self._params = CheckParams(timeout_seconds=timeout_seconds)
         self.stats = DischargeStats(jobs=self.jobs)
-        self._pool: Optional[ProcessPoolExecutor] = None
-        self._pool_was_killed = False
-        self._consecutive_rebuilds = 0
+        self._workers = WorkerPool(
+            self.jobs, {"factory": factory, "engine": self._engine},
+            watchdog_seconds=watchdog_seconds, max_retries=max_retries,
+            retry_backoff=retry_backoff, fault_plan=fault_plan,
+            stats=self.stats.pool)
         #: deterministic execution index of the next fresh obligation
         self._task_counter = 0
+
+    @property
+    def max_retries(self) -> int:
+        return self._workers.max_retries
+
+    @property
+    def _pool(self):
+        """The worker pool's live executor (None until the first pooled
+        batch, after a kill, and after :meth:`close`)."""
+        return self._workers.executor
 
     # ------------------------------------------------------------------
     def discharge(self, graph, known: Optional[Dict[Tuple, Verdict]] = None
@@ -367,24 +375,13 @@ class DischargeScheduler:
             to_run = list(range(len(batch)))
 
         # Deterministic execution indices: assigned in plan order, so a
-        # fault plan keyed by task_index names the same obligation at
-        # any job count.
-        task_indices = {}
-        for index in to_run:
-            task_indices[index] = self._task_counter
-            self._task_counter += 1
-
-        if self.jobs > 1 and len(to_run) > 1:
-            for index, verdict in self._run_pool(
-                    batch, to_run, task_indices, problems).items():
+        # fault plan names the same obligation at any job count.
+        first_index = self._task_counter
+        self._task_counter += len(to_run)
+        if to_run:
+            verdicts = self._run_pool(batch, to_run, problems, first_index)
+            for index, verdict in zip(to_run, verdicts):
                 outcomes[index] = verdict
-        else:
-            for index in to_run:
-                problem = problems.get(index)
-                if problem is None:
-                    problem = batch[index].build(self.factory)
-                outcomes[index] = self._check_inline(
-                    batch[index], problem, task_indices[index])
 
         # Serve isomorphic followers from their primary's verdict, and
         # remember decided share-base fingerprints across batches so the
@@ -427,141 +424,35 @@ class DischargeScheduler:
                 if outcomes[index] is not None]
 
     # ------------------------------------------------------------------
-    # Pool execution with crash/timeout/garbage recovery
-    # ------------------------------------------------------------------
-    def _run_pool(self, batch, to_run: List[int],
-                  task_indices: Dict[int, int],
-                  problems: Optional[Dict[int, object]] = None
-                  ) -> Dict[int, Verdict]:
-        """Fan one wave out to the pool; survive worker faults.
+    def _run_pool(self, batch, to_run: List[int], problems: Dict[int, object],
+                  first_index: int) -> List[Verdict]:
+        """Decide ``batch[i]`` for each ``i`` in ``to_run`` on the worker
+        pool (inline at ``jobs=1`` or for a single obligation).
 
-        Failed obligations are retried in subsequent waves (with
-        exponential backoff and a rebuilt pool when it broke); after
-        ``max_retries`` failures an obligation degrades to inline
-        execution in the parent, reusing the problem instance already
-        built during cache/journal planning instead of rebuilding it.
+        Workers rebuild each problem from its builder; the inline path
+        and the pool's last-resort fallback reuse the problem built at
+        plan time, if there is one.
         """
-        problems = problems or {}
-        outcomes: Dict[int, Verdict] = {}
-        pending: List[Tuple[int, int]] = [(index, 0) for index in to_run]
-        wave = 0
-        while pending:
-            futures = self._submit_wave(batch, pending, task_indices)
-            failed: List[Tuple[int, int]] = []
-            pool_broken = False
-            for (index, attempt), future in zip(pending, futures):
-                if future is None:  # submission itself hit a broken pool
-                    pool_broken = True
-                    failed.append((index, attempt))
-                    continue
-                try:
-                    verdict, delta = future.result(timeout=self.watchdog_seconds)
-                except _POOL_FAILURES:
-                    self.stats.worker_crashes += 1
-                    pool_broken = True
-                    failed.append((index, attempt))
-                    continue
-                except FuturesTimeout:
-                    # The worker is hung: the pool must be torn down to
-                    # kill it, which invalidates this wave's siblings
-                    # too (they resurface as BrokenProcessPool above).
-                    self.stats.timeouts += 1
-                    pool_broken = True
-                    failed.append((index, attempt))
-                    continue
-                except DischargeTimeout:
-                    self.stats.timeouts += 1
-                    failed.append((index, attempt))
-                    continue
-                except WorkerCrashError:
-                    self.stats.worker_crashes += 1
-                    failed.append((index, attempt))
-                    continue
-                if not _verdict_valid(verdict):
-                    self.stats.garbage_verdicts += 1
-                    failed.append((index, attempt))
-                    continue
-                self._merge_stats(delta)
-                outcomes[index] = verdict
-            if pool_broken:
-                self._kill_pool()
-            else:
-                # A wave that consumed results without breaking the pool
-                # resets the rebuild backoff (the fleet is healthy again).
-                self._consecutive_rebuilds = 0
-            pending = []
-            for index, attempt in failed:
-                if attempt >= self.max_retries:
-                    self.stats.inline_fallbacks += 1
-                    problem = problems.get(index)
-                    if problem is None:
-                        problem = batch[index].build(self.factory)
-                    outcomes[index] = self._check_once(
-                        problem, task_indices[index], attempt + 1)
-                else:
-                    self.stats.retries += 1
-                    pending.append((index, attempt + 1))
-            if pending:
-                wave += 1
-                time.sleep(self.schedule.delay(wave))
-        return outcomes
+        def inline(item) -> Tuple[Verdict, None]:
+            index = item[0]
+            problem = problems.get(index)
+            if problem is None:
+                problem = batch[index].build(self.factory)
+            return self._engine.check_problem(problem, self._params), None
 
-    def _submit_wave(self, batch, pending, task_indices):
-        """Submit one retry wave; a broken pool during submission marks
-        the remaining entries as failed rather than raising."""
-        futures = []
-        for index, attempt in pending:
-            params = replace(self._params,
-                             task_index=task_indices[index], attempt=attempt)
-            try:
-                pool = self._ensure_pool()
-                futures.append(pool.submit(
-                    _worker_check, batch[index].builder, batch[index].args,
-                    params))
-                self.stats.pool_tasks += 1
-            except _POOL_FAILURES:
-                self.stats.worker_crashes += 1
-                self._kill_pool()
-                futures.append(None)
-        return futures
+        items = [(index, batch[index].builder, batch[index].args,
+                  self._params) for index in to_run]
+        results = self._workers.map(items, _worker_check, inline,
+                                    first_index=first_index,
+                                    validate=_result_valid)
+        for _, delta in results:
+            if delta is not None:
+                self._merge_stats(delta)
+        return [verdict for verdict, _ in results]
 
     def _merge_stats(self, delta: Dict[str, float]) -> None:
         for key, value in delta.items():
             self._engine.stats[key] = self._engine.stats.get(key, 0) + value
-
-    # ------------------------------------------------------------------
-    # Inline execution (jobs=1 and the pool's last-resort fallback)
-    # ------------------------------------------------------------------
-    def _check_inline(self, obligation, problem, task_index: int) -> Verdict:
-        """Decide one obligation in-process with the same retry policy
-        as the pool path (crash/hang injections raise here instead of
-        killing a worker)."""
-        attempt = 0
-        while True:
-            try:
-                verdict = self._check_once(problem, task_index, attempt)
-            except _RETRYABLE as exc:
-                self._count_failure(exc)
-                if attempt >= self.max_retries:
-                    raise
-                self.stats.retries += 1
-                attempt += 1
-                time.sleep(self.schedule.delay(attempt))
-                continue
-            if _verdict_valid(verdict):
-                return verdict
-            self.stats.garbage_verdicts += 1
-            if attempt >= self.max_retries:
-                raise FormalError(
-                    f"checker returned an invalid verdict for "
-                    f"{problem.name!r} after {attempt + 1} attempt(s)")
-            self.stats.retries += 1
-            attempt += 1
-            time.sleep(min(self.retry_backoff * (2 ** (attempt - 1)), 2.0))
-
-    def _check_once(self, problem, task_index: int, attempt: int) -> Verdict:
-        params = replace(self._params, task_index=task_index, attempt=attempt)
-        return self._engine.check_problem(problem, params)
 
     # ------------------------------------------------------------------
     # Module-granularity dedupe accounting
@@ -578,49 +469,10 @@ class DischargeScheduler:
     def _count_executed(self, problem) -> None:
         self._module_counts(problem)["executed"] += 1
 
-    def _count_failure(self, exc: Exception) -> None:
-        if isinstance(exc, DischargeTimeout):
-            self.stats.timeouts += 1
-        else:
-            self.stats.worker_crashes += 1
-
     # ------------------------------------------------------------------
-    def _ensure_pool(self) -> ProcessPoolExecutor:
-        if self._pool is None:
-            if self._pool_was_killed:
-                # Rebuilding after a crash/hang: pay a deterministic
-                # capped exponential delay so a persistently dying pool
-                # cannot spin through rebuilds at full speed.
-                self._consecutive_rebuilds += 1
-                self.stats.pool_rebuilds += 1
-                time.sleep(self.schedule.delay(self._consecutive_rebuilds))
-            self._pool = ProcessPoolExecutor(
-                max_workers=self.jobs,
-                initializer=_worker_init,
-                initargs=(self.factory, self._engine))
-        return self._pool
-
-    def _kill_pool(self) -> None:
-        """Tear the pool down hard (terminate workers) so a hung or
-        crashed worker cannot outlive its batch; the next submission
-        rebuilds a fresh pool (after a capped backoff delay)."""
-        self._pool_was_killed = True
-        if self._pool is None:
-            return
-        processes = getattr(self._pool, "_processes", None) or {}
-        for process in list(processes.values()):
-            try:
-                process.terminate()
-            except (OSError, ValueError):
-                pass
-        self._pool.shutdown(wait=False)
-        self._pool = None
-
     def close(self) -> None:
         """Shut the worker pool down (idempotent)."""
-        if self._pool is not None:
-            self._pool.shutdown(wait=True)
-            self._pool = None
+        self._workers.close()
 
     def __enter__(self) -> "DischargeScheduler":
         return self

@@ -11,11 +11,13 @@ the end-to-end ``repro pipeline`` command) builds on the same four:
   instead of hanging or crashing;
 * :mod:`repro.resilience.journal` — append-only, per-record checksummed
   JSONL checkpoints that quarantine corrupt or torn tails on replay;
-* :mod:`repro.resilience.pool` — worker-pool lifecycle: one-shot
-  initializer state, crash/hang detection, bounded retry waves with
-  pool rebuilds, and inline fallback in the parent process;
-* :mod:`repro.resilience.faults` — deterministic fault injection keyed
-  by execution index, so fault tolerance can be *proven* not to change
+* :mod:`repro.resilience.pool` — the repo's one worker pool (the SVA
+  discharge scheduler holds one for its lifetime; the Check layer maps
+  over one-shot pools): per-worker initializer state, crash/hang
+  detection, bounded retry waves with pool rebuilds, inline fallback
+  in the parent process, and the one site where fault plans fire;
+* :mod:`repro.resilience.faults` — deterministic fault plans keyed by
+  execution index, so fault tolerance can be *proven* not to change
   results.
 
 The guiding invariant, shared with the discharge scheduler: faults and
@@ -41,16 +43,7 @@ from .faults import (
     FaultPlan,
     parse_fault_spec,
 )
-from .journal import Journal
-from .pool import (
-    PoolStats,
-    init_worker,
-    map_indexed,
-    race_tasks,
-    resolve_jobs,
-    run_tasks,
-    worker_state,
-)
+from .pool import PoolStats, resolve_jobs, run_tasks, worker_state
 
 __all__ = [
     "BackoffSchedule",
@@ -61,11 +54,7 @@ __all__ = [
     "TIMEOUT",
     "UNKNOWN",
     "UNDECIDED_STATUSES",
-    "Journal",
     "PoolStats",
-    "init_worker",
-    "map_indexed",
-    "race_tasks",
     "resolve_jobs",
     "run_tasks",
     "worker_state",

@@ -6,6 +6,9 @@ trustworthy if it can be *proven* not to change results.  The proof
 harness is a :class:`FaultPlan`: a picklable schedule of failures keyed
 by a task's deterministic execution index (assigned in plan/submission
 order, identical across job counts) and its retry ``attempt`` number.
+A plan fires in one place, the task site of the worker pool
+(:mod:`repro.resilience.pool`), for the discharge scheduler and the
+Check layer alike.
 
 Four fault kinds cover the recovery paths:
 
@@ -64,16 +67,16 @@ class FaultPlan:
     attempts: int = 1
     hard_crashes: bool = True
 
-    def fault_for(self, task_index: int, attempt: int) -> Optional[str]:
-        if task_index < 0 or attempt >= self.attempts:
+    def fault_for(self, index: int, attempt: int) -> Optional[str]:
+        if index < 0 or attempt >= self.attempts:
             return None
-        if task_index in self.crashes:
+        if index in self.crashes:
             return CRASH
-        if task_index in self.hangs:
+        if index in self.hangs:
             return HANG
-        if task_index in self.garbage:
+        if index in self.garbage:
             return GARBAGE
-        if task_index in self.interrupts:
+        if index in self.interrupts:
             return INTERRUPT
         return None
 

@@ -1,39 +1,48 @@
 """Worker-pool lifecycle with crash/hang recovery and inline fallback.
 
-One pool abstraction serves every parallel fan-out in the repo: the
+This is the repo's one process pool.  The SVA discharge scheduler
+(:mod:`repro.formal.scheduler`) holds one :class:`WorkerPool` across
+every batch and round of a synthesis run; the Check layer's suite runs
+and sweeps map over a one-shot pool through :func:`run_tasks`.  The
 (picklable) shared state crosses the process boundary once per worker
 via the pool initializer, per-task payloads are just the items, and
-results are consumed in submission-index order so ``jobs=N`` output is
-identical to ``jobs=1``.
+results are consumed in item order so ``jobs=N`` output is identical
+to ``jobs=1``.
 
-Fault tolerance follows the discharge scheduler's degraded-mode policy
-(:mod:`repro.formal.scheduler`): a dead worker (``BrokenProcessPool``),
-a hung task (watchdog timeout on the future), a simulated timeout
+Fault tolerance: a dead worker (``BrokenProcessPool``), a hung task
+(watchdog timeout on the future), a simulated timeout
 (:class:`repro.errors.DischargeTimeout`), or an invalid result never
 aborts the run — the task is retried in bounded waves with exponential
-backoff on a rebuilt pool, and after ``max_retries`` failures it runs
-inline in the parent process.  Real task errors (``CheckError`` etc.)
-are *not* swallowed; they re-raise exactly as the serial path would.
+backoff on a rebuilt executor, and after ``max_retries`` failures it
+runs inline in the parent process.  Real task errors (``CheckError``
+etc.) are *not* swallowed; they re-raise exactly as the serial path
+would.
 
-A :class:`repro.resilience.faults.FaultPlan` can be attached to inject
-deterministic crashes/hangs/garbage (executed at the task site, in the
-worker or inline) and interrupts (raised in the parent at the exact
-point the task's result would be consumed).  ``KeyboardInterrupt`` —
-real or injected — hard-kills the pool before propagating, so a Ctrl-C
-never leaves orphaned workers behind; results already delivered to
-``on_result`` (e.g. a journal) survive the interrupt.
+Fault injection has one site, too: a
+:class:`repro.resilience.faults.FaultPlan` attached to the pool fires
+in :func:`_worker_entry`, keyed by the task's index (``first_index``
+plus the item's position) and attempt.  Crashes, hangs and garbage run
+at the task site — in the worker, or inline in the parent, where a
+hard crash raises :class:`repro.errors.WorkerCrashError` instead of
+killing the process — and interrupts are raised in the parent at the
+exact point the task's result would be consumed.
+``KeyboardInterrupt`` — real or injected — hard-kills the executor
+before propagating, so a Ctrl-C never leaves orphaned workers behind;
+results already delivered to ``on_result`` (e.g. a journal) survive the
+interrupt.
 """
 
 from __future__ import annotations
 
 import os
+import signal
 import time
-from concurrent.futures import FIRST_COMPLETED, BrokenExecutor, \
-    ProcessPoolExecutor, wait
+from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
 from concurrent.futures import TimeoutError as FuturesTimeout
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, TypeVar
+from typing import (Callable, Dict, List, NamedTuple, Optional, Sequence,
+                    Tuple, TypeVar)
 
 from ..errors import DischargeTimeout, ResilienceError, WorkerCrashError
 from .backoff import BackoffSchedule
@@ -66,13 +75,12 @@ def worker_state() -> Dict[str, object]:
     return _WORKER_STATE
 
 
-def init_worker(**state) -> None:
-    """Generic pool initializer: stash keyword state for the worker."""
+def _pool_initializer(state: Dict[str, object]) -> None:
+    """Install ``state`` as this worker's :func:`worker_state`."""
     # Workers must not inherit the parent CLI's signal handlers: pool
     # teardown SIGTERMs them, and an inherited SIGTERM→KeyboardInterrupt
     # handler would spray tracebacks instead of dying quietly.  The
     # parent owns interrupt handling; workers just terminate.
-    import signal
     try:
         signal.signal(signal.SIGTERM, signal.SIG_DFL)
         signal.signal(signal.SIGINT, signal.SIG_IGN)
@@ -83,16 +91,13 @@ def init_worker(**state) -> None:
     _WORKER_STATE["in_worker"] = True
 
 
-def _pool_initializer(state: Dict[str, object]) -> None:
-    init_worker(**state)
-
-
 def _worker_entry(task, item, index: int, attempt: int,
                   plan: Optional[FaultPlan]):
-    """Run one task in a worker, executing any planned fault first."""
+    """Run one task (in a worker or inline), executing any planned
+    fault first."""
     fault = plan.fault_for(index, attempt) if plan is not None else None
     if fault == CRASH:
-        if plan.hard_crashes:
+        if plan.hard_crashes and _WORKER_STATE.get("in_worker"):
             os._exit(43)  # hard death: parent sees BrokenProcessPool
         raise WorkerCrashError(
             f"injected crash at task {index} attempt {attempt}")
@@ -108,8 +113,8 @@ def _worker_entry(task, item, index: int, attempt: int,
 
 @dataclass
 class PoolStats:
-    """Fault/recovery counters for one :func:`run_tasks` call (or an
-    accumulating object shared across calls)."""
+    """Fault/recovery counters for one :func:`run_tasks` call or one
+    :class:`WorkerPool`'s lifetime (or an object shared across them)."""
 
     jobs: int = 1
     tasks: int = 0            # items executed (pool or inline)
@@ -143,176 +148,120 @@ def run_tasks(items: Sequence[Item], task: Callable[[Item], Result],
               validate: Optional[Callable[[Result], bool]] = None,
               on_result: Optional[Callable[[int, Result], None]] = None,
               stats: Optional[PoolStats] = None) -> List[Result]:
-    """Map ``task`` over ``items`` deterministically, surviving faults.
-
-    ``task`` runs in workers (against :func:`worker_state` filled from
-    ``state``); ``inline`` computes the same result in the parent and
-    serves as both the ``jobs<=1`` path and the last-resort fallback
-    when the pool keeps failing.  ``validate`` rejects malformed
-    results (they are retried like crashes); ``on_result`` fires once
-    per item as its result is finalized — under an interrupt, results
-    already delivered are the checkpointed prefix.  Results are ordered
-    by item index regardless of completion order.
-    """
+    """Map ``task`` over ``items`` deterministically, surviving faults,
+    on a one-shot :class:`WorkerPool` of at most ``len(items)`` workers
+    (see :meth:`WorkerPool.map`)."""
     jobs = resolve_jobs(jobs)
     stats = stats if stats is not None else PoolStats()
     stats.jobs = max(stats.jobs, jobs)
-    runner = _TaskRun(items, task, inline, jobs, state,
-                      watchdog_seconds=watchdog_seconds,
-                      max_retries=max(0, max_retries),
-                      retry_backoff=retry_backoff,
-                      fault_plan=fault_plan, validate=validate,
-                      on_result=on_result, stats=stats)
-    return runner.run()
+    with WorkerPool(min(jobs, len(items)), state,
+                    watchdog_seconds=watchdog_seconds,
+                    max_retries=max_retries, retry_backoff=retry_backoff,
+                    fault_plan=fault_plan, stats=stats) as pool:
+        return pool.map(items, task, inline, validate=validate,
+                        on_result=on_result)
 
 
-def map_indexed(items: Sequence[Item], task: Callable[[Item], Result],
-                inline: Callable[[Item], Result], jobs: int,
-                state: Dict[str, object]) -> List[Result]:
-    """The historical simple entry point (no faults, no journaling)."""
-    return run_tasks(items, task, inline, jobs, state)
+class _Map(NamedTuple):
+    """One :meth:`WorkerPool.map` call's inputs."""
+
+    items: Sequence
+    task: Callable
+    inline: Callable
+    first_index: int
+    validate: Optional[Callable]
+    finish: Callable[[int, object], None]
 
 
-def _terminate_pool(pool: ProcessPoolExecutor) -> None:
-    """Hard-kill a pool's workers (losers of a race must not keep
-    burning CPU) and shut it down without waiting."""
-    processes = getattr(pool, "_processes", None) or {}
-    for process in list(processes.values()):
-        try:
-            process.terminate()
-        except (OSError, ValueError):
-            pass
-    pool.shutdown(wait=False)
+class WorkerPool:
+    """A process pool that owns one executor for its whole lifetime.
 
-
-def race_tasks(items: Sequence[Item], task: Callable[[Item], Result],
-               inline: Callable[[Item], Result],
-               state: Dict[str, object], *,
-               watchdog_seconds: Optional[float] = None
-               ) -> Tuple[int, Result]:
-    """Race ``task`` over every item concurrently; the first finisher
-    wins.  Returns ``(winner_index, result)``.
-
-    Unlike :func:`run_tasks` (map semantics, all results), this is a
-    disjunction: every item computes the *same* answer by different
-    means (e.g. portfolio SAT configs), so whichever worker finishes
-    first settles the question and the losers are terminated.  Items
-    completing within one poll interval tie-break to the lowest index,
-    and item 0 is the fallback executed inline — in a pool worker
-    (racing must not nest pools), with a single item, when every racer
-    fails, or when the watchdog expires — so callers should put their
-    baseline configuration first.
+    ``task`` functions run in workers against :func:`worker_state`,
+    filled once per worker from ``state``.  The executor is built on
+    the first pooled :meth:`map` and reused by every later one; a crash
+    or hang kills it, and the next submission rebuilds it after a
+    capped backoff.  ``jobs<=1`` never builds one.  The pool is a
+    context manager; :meth:`close` shuts the executor down.
     """
-    if len(items) <= 1 or _WORKER_STATE.get("in_worker"):
-        return 0, inline(items[0])
-    try:
-        pool = ProcessPoolExecutor(max_workers=len(items),
-                                   initializer=_pool_initializer,
-                                   initargs=(state,))
-    except _POOL_FAILURES:
-        return 0, inline(items[0])
-    futures = []
-    try:
-        try:
-            for item in items:
-                futures.append(pool.submit(task, item))
-        except _POOL_FAILURES:
-            return 0, inline(items[0])
-        deadline = (time.monotonic() + watchdog_seconds) \
-            if watchdog_seconds is not None else None
-        pending = set(futures)
-        while pending:
-            timeout = None
-            if deadline is not None:
-                timeout = deadline - time.monotonic()
-                if timeout <= 0:
-                    break
-            done, pending = wait(pending, timeout=timeout,
-                                 return_when=FIRST_COMPLETED)
-            if not done:
-                break  # watchdog expired
-            # Deterministic tie-break within a poll: lowest index wins.
-            for future in sorted(done, key=futures.index):
-                try:
-                    result = future.result()
-                except Exception:
-                    continue  # this racer crashed; others may finish
-                return futures.index(future), result
-    finally:
-        _terminate_pool(pool)
-    return 0, inline(items[0])
 
-
-class _TaskRun:
-    """One :func:`run_tasks` invocation's mutable execution state."""
-
-    def __init__(self, items, task, inline, jobs, state, *,
-                 watchdog_seconds, max_retries, retry_backoff,
-                 fault_plan, validate, on_result, stats):
-        self.items = items
-        self.task = task
-        self.inline = inline
+    def __init__(self, jobs: int, state: Dict[str, object], *,
+                 watchdog_seconds: Optional[float] = None,
+                 max_retries: int = 3,
+                 retry_backoff: float = 0.05,
+                 fault_plan: Optional[FaultPlan] = None,
+                 stats: Optional[PoolStats] = None):
         self.jobs = jobs
         self.state = state
         self.watchdog_seconds = watchdog_seconds
-        self.max_retries = max_retries
-        self.retry_backoff = retry_backoff
+        self.max_retries = max(0, max_retries)
         self.plan = fault_plan
-        self.validate = validate
-        self.on_result = on_result
-        self.stats = stats
+        self.stats = stats if stats is not None else PoolStats()
         self.schedule = BackoffSchedule(base=retry_backoff)
-        self.results: List[Optional[Result]] = [None] * len(items)
-        self._pool: Optional[ProcessPoolExecutor] = None
-        self._pool_was_killed = False
+        #: the live executor, or None (not built yet, killed, or closed)
+        self.executor: Optional[ProcessPoolExecutor] = None
+        self._executor_was_killed = False
         self._consecutive_rebuilds = 0
 
-    # ------------------------------------------------------------------
-    def run(self) -> List[Result]:
+    def map(self, items: Sequence[Item], task: Callable[[Item], Result],
+            inline: Callable[[Item], Result], first_index: int = 0,
+            validate: Optional[Callable[[Result], bool]] = None,
+            on_result: Optional[Callable[[int, Result], None]] = None
+            ) -> List[Result]:
+        """Map ``task`` over ``items``; results are in item order.
+
+        ``inline`` computes the same result in the parent: it is the
+        path for ``jobs<=1`` or a single item, and the last-resort
+        fallback when the pool keeps failing.  Item ``i`` is fault-plan
+        task ``first_index + i``.  ``validate`` rejects malformed
+        results (they are retried like crashes); ``on_result`` fires
+        once per item as its result is finalized — under an interrupt,
+        results already delivered are the checkpointed prefix.
+        """
+        results: List[Optional[Result]] = [None] * len(items)
+
+        def finish(index: int, result: Result) -> None:
+            results[index] = result
+            self.stats.tasks += 1
+            if on_result is not None:
+                on_result(index, result)
+
+        call = _Map(items, task, inline, first_index, validate, finish)
         try:
-            if self.jobs <= 1 or len(self.items) <= 1:
-                for index, item in enumerate(self.items):
-                    self._maybe_interrupt(index, 0)
-                    self._finish(index, self._run_inline(index, item, 0))
+            if self.jobs <= 1 or len(items) <= 1:
+                for index, item in enumerate(items):
+                    self._maybe_interrupt(first_index + index, 0)
+                    finish(index, self._run_inline(call, index, 0))
             else:
-                self._run_pool()
+                self._run_pool(call)
         except KeyboardInterrupt:
             self._kill_pool()
             raise
-        finally:
-            self.close()
-        return self.results
+        return results
 
-    def _finish(self, index: int, result: Result) -> None:
-        self.results[index] = result
-        self.stats.tasks += 1
-        if self.on_result is not None:
-            self.on_result(index, result)
-
-    def _valid(self, result) -> bool:
+    def _valid(self, call: _Map, result) -> bool:
         if isinstance(result, str) and result == GARBAGE_RESULT:
             return False
-        return self.validate is None or self.validate(result)
+        return call.validate is None or call.validate(result)
 
-    def _maybe_interrupt(self, index: int, attempt: int) -> None:
+    def _maybe_interrupt(self, site: int, attempt: int) -> None:
         if self.plan is not None and \
-                self.plan.fault_for(index, attempt) == INTERRUPT:
+                self.plan.fault_for(site, attempt) == INTERRUPT:
             raise KeyboardInterrupt(
-                f"injected interrupt at task {index} attempt {attempt}")
+                f"injected interrupt at task {site} attempt {attempt}")
 
     # ------------------------------------------------------------------
     # Inline execution (jobs=1 and the pool's last-resort fallback)
     # ------------------------------------------------------------------
-    def _run_inline(self, index: int, item: Item, start_attempt: int
-                    ) -> Result:
+    def _run_inline(self, call: _Map, index: int, start_attempt: int):
         """Decide one item in-process with the same retry policy as the
         pool path (crash/hang injections raise here instead of killing
         a worker; persistent faults eventually propagate)."""
+        site = call.first_index + index
         attempt = start_attempt
         while True:
             try:
-                result = _worker_entry(self.inline, item, index, attempt,
-                                       self.plan)
+                result = _worker_entry(call.inline, call.items[index], site,
+                                       attempt, self.plan)
             except _RETRYABLE as exc:
                 self._count_failure(exc)
                 if attempt - start_attempt >= self.max_retries:
@@ -321,12 +270,12 @@ class _TaskRun:
                 attempt += 1
                 self._backoff(attempt - start_attempt)
                 continue
-            if self._valid(result):
+            if self._valid(call, result):
                 return result
             self.stats.garbage_results += 1
             if attempt - start_attempt >= self.max_retries:
                 raise ResilienceError(
-                    f"task {index} returned an invalid result after "
+                    f"task {site} returned an invalid result after "
                     f"{attempt - start_attempt + 1} attempt(s)")
             self.stats.retries += 1
             attempt += 1
@@ -344,11 +293,11 @@ class _TaskRun:
     # ------------------------------------------------------------------
     # Pool execution with crash/timeout/garbage recovery
     # ------------------------------------------------------------------
-    def _run_pool(self) -> None:
-        pending: List[Tuple[int, int]] = [(i, 0) for i in range(len(self.items))]
+    def _run_pool(self, call: _Map) -> None:
+        pending: List[Tuple[int, int]] = [(i, 0) for i in range(len(call.items))]
         wave = 0
         while pending:
-            futures = self._submit_wave(pending)
+            futures = self._submit_wave(call, pending)
             failed: List[Tuple[int, int]] = []
             pool_broken = False
             for (index, attempt), future in zip(pending, futures):
@@ -371,20 +320,16 @@ class _TaskRun:
                     pool_broken = True
                     failed.append((index, attempt))
                     continue
-                except DischargeTimeout:
-                    self.stats.timeouts += 1
+                except _RETRYABLE as exc:
+                    self._count_failure(exc)
                     failed.append((index, attempt))
                     continue
-                except WorkerCrashError:
-                    self.stats.worker_crashes += 1
-                    failed.append((index, attempt))
-                    continue
-                if not self._valid(result):
+                if not self._valid(call, result):
                     self.stats.garbage_results += 1
                     failed.append((index, attempt))
                     continue
-                self._maybe_interrupt(index, attempt)
-                self._finish(index, result)
+                self._maybe_interrupt(call.first_index + index, attempt)
+                call.finish(index, result)
             if pool_broken:
                 self._kill_pool()
             else:
@@ -395,9 +340,10 @@ class _TaskRun:
             for index, attempt in failed:
                 if attempt >= self.max_retries:
                     self.stats.inline_fallbacks += 1
-                    self._maybe_interrupt(index, attempt + 1)
-                    self._finish(index, self._run_inline(
-                        index, self.items[index], attempt + 1))
+                    self._maybe_interrupt(call.first_index + index,
+                                          attempt + 1)
+                    call.finish(index,
+                                self._run_inline(call, index, attempt + 1))
                 else:
                     self.stats.retries += 1
                     pending.append((index, attempt + 1))
@@ -405,16 +351,16 @@ class _TaskRun:
                 wave += 1
                 self._backoff(wave)
 
-    def _submit_wave(self, pending: List[Tuple[int, int]]):
+    def _submit_wave(self, call: _Map, pending: List[Tuple[int, int]]):
         """Submit one retry wave; a broken pool during submission marks
         the remaining entries as failed rather than raising."""
         futures = []
         for index, attempt in pending:
             try:
-                pool = self._ensure_pool()
-                futures.append(pool.submit(
-                    _worker_entry, self.task, self.items[index], index,
-                    attempt, self.plan))
+                executor = self._ensure_pool()
+                futures.append(executor.submit(
+                    _worker_entry, call.task, call.items[index],
+                    call.first_index + index, attempt, self.plan))
                 self.stats.pool_tasks += 1
             except _POOL_FAILURES:
                 self.stats.worker_crashes += 1
@@ -424,36 +370,43 @@ class _TaskRun:
 
     # ------------------------------------------------------------------
     def _ensure_pool(self) -> ProcessPoolExecutor:
-        if self._pool is None:
-            if self._pool_was_killed:
+        if self.executor is None:
+            if self._executor_was_killed:
                 # Rebuilding after a crash/hang: pay a deterministic
                 # capped exponential delay so a persistently dying pool
                 # cannot spin through rebuilds at full speed.
                 self._consecutive_rebuilds += 1
                 self.stats.pool_rebuilds += 1
                 time.sleep(self.schedule.delay(self._consecutive_rebuilds))
-            self._pool = ProcessPoolExecutor(
-                max_workers=min(self.jobs, len(self.items)),
+            self.executor = ProcessPoolExecutor(
+                max_workers=self.jobs,
                 initializer=_pool_initializer, initargs=(self.state,))
-        return self._pool
+        return self.executor
 
     def _kill_pool(self) -> None:
-        """Tear the pool down hard (terminate workers) so a hung or
+        """Tear the executor down hard (terminate workers) so a hung or
         crashed worker cannot outlive its wave; the next submission
-        rebuilds a fresh pool (after a capped backoff delay)."""
-        self._pool_was_killed = True
-        if self._pool is None:
+        rebuilds a fresh one (after a capped backoff delay)."""
+        self._executor_was_killed = True
+        if self.executor is None:
             return
-        processes = getattr(self._pool, "_processes", None) or {}
+        processes = getattr(self.executor, "_processes", None) or {}
         for process in list(processes.values()):
             try:
                 process.terminate()
             except (OSError, ValueError):
                 pass
-        self._pool.shutdown(wait=False)
-        self._pool = None
+        self.executor.shutdown(wait=False)
+        self.executor = None
 
     def close(self) -> None:
-        if self._pool is not None:
-            self._pool.shutdown(wait=True)
-            self._pool = None
+        """Shut the executor down, waiting for its workers (idempotent)."""
+        if self.executor is not None:
+            self.executor.shutdown(wait=True)
+            self.executor = None
+
+    def __enter__(self) -> "WorkerPool":
+        return self
+
+    def __exit__(self, *_exc) -> None:
+        self.close()

@@ -81,12 +81,10 @@ class ArenaSolver(VsidsHeapMixin, BatchedSolveMixin):
     ``solve(assumptions=...)`` supports incremental queries: the clause
     database persists across calls and learned clauses are retained.
     ``clauses`` and ``learned`` hold integer clause refs (indices into
-    the header arrays).  ``phase_seed`` perturbs the initial saved
-    phases (portfolio diversification; 0 = all-False init).
+    the header arrays).
     """
 
-    def __init__(self, phase_seed: int = 0):
-        self.phase_seed = phase_seed
+    def __init__(self):
         self.num_vars = 0
         #: flat literal arena (see module docstring for why a list)
         self.arena: List[int] = []
@@ -157,8 +155,7 @@ class ArenaSolver(VsidsHeapMixin, BatchedSolveMixin):
         self.activity.extend([0.0] * grow)
         self._heap_act.extend([-1.0] * grow)
         self._seen.extend([0] * grow)
-        self.phase.extend(self._initial_phase(v)
-                          for v in range(old + 1, var + 1))
+        self.phase.extend([False] * grow)
         watches = self.watches
         grown = watches[:old + 1]
         grown.extend([] for _ in range(grow))  # positives old+1..var

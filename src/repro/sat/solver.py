@@ -121,18 +121,6 @@ class VsidsHeapMixin:
                 return var
         return 0
 
-    def _initial_phase(self, var: int) -> bool:
-        """Saved-phase seed value for a fresh variable.
-
-        ``phase_seed=0`` (the default) is the historical all-False
-        init; nonzero seeds perturb it deterministically, which is how
-        portfolio configs diversify their search without touching
-        soundness (used by ``repro synth --portfolio``).
-        """
-        if not self.phase_seed:
-            return False
-        return bool((var * 0x9E3779B1 + self.phase_seed * 0x85EBCA77) >> 13 & 1)
-
 
 class BatchedSolveMixin:
     """``solve_batch`` over any core exposing ``solve(keep_levels=...)``.

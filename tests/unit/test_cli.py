@@ -89,6 +89,18 @@ def test_check_injected_interrupt_exits_130_and_resumes(
     assert "ALL TESTS PASS" in out
 
 
+def test_check_inline_hard_crash_is_retried_not_fatal(capsys,
+                                                     reference_model):
+    # A hard crash (the default plan) kills only pool workers; at
+    # --jobs 1 the task runs in this process, so it raises and retries.
+    assert main(["check", "--jobs", "1", "--inject-faults", "crash:0",
+                 "mp", "sb"]) == 0
+    out = capsys.readouterr().out
+    assert "ALL TESTS PASS" in out
+    assert "1 crash(es)" in out
+    assert "1 retried" in out
+
+
 def test_check_interrupt_without_journal_is_not_resumable(
         capsys, reference_model):
     assert main(["check", "mp", "sb",

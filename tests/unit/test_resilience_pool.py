@@ -22,6 +22,7 @@ from repro.resilience import (
     resolve_jobs,
     run_tasks,
 )
+from repro.resilience.pool import WorkerPool
 
 
 class TestBudget:
@@ -199,9 +200,53 @@ class TestPoolRebuilds:
                   fault_plan=plan, stats=stats, retry_backoff=0.001)
         assert stats.pool_rebuilds == 0
 
+    def test_serial_hard_crashes_are_raised_not_fatal(self):
+        # hard_crashes kills pool workers only: inline, in this process,
+        # the crash raises, is retried, and the map completes.
+        plan = FaultPlan(crashes=frozenset({0}), hard_crashes=True)
+        stats = PoolStats()
+        out = run_tasks([1, 2], _double, _double, 1, {},
+                        fault_plan=plan, stats=stats, retry_backoff=0.001)
+        assert out == [2, 4]
+        assert stats.worker_crashes == 1
+        assert stats.retries == 1
+        assert stats.pool_rebuilds == 0
+
     def test_clean_pool_run_has_no_rebuilds(self):
         stats = PoolStats()
         out = run_tasks([1, 2, 3], _double, _double, 2, {}, stats=stats)
         assert out == [2, 4, 6]
         assert stats.pool_rebuilds == 0
         assert "0 pool rebuild(s)" in stats.summary()
+
+
+def _pid(_item):
+    import os
+    return os.getpid()
+
+
+class TestWorkerPoolPersistence:
+    def test_maps_share_one_executor(self):
+        import multiprocessing
+        with WorkerPool(2, {}) as pool:
+            first = pool.map([1, 2, 3, 4], _pid, _pid)
+            executor = pool.executor
+            workers = set(executor._processes)
+            second = pool.map([5, 6, 7, 8], _pid, _pid, first_index=4)
+            # the same executor and the same two worker processes
+            assert pool.executor is executor
+            assert set(executor._processes) == workers
+            assert len(workers) == 2
+            assert set(first) <= workers and set(second) <= workers
+        assert pool.stats.pool_rebuilds == 0
+        assert pool.stats.pool_tasks == 8
+        assert pool.executor is None
+        assert multiprocessing.active_children() == []
+
+    def test_first_index_keys_the_fault_plan(self):
+        plan = FaultPlan(crashes=frozenset({5}), hard_crashes=False)
+        pool = WorkerPool(1, {}, fault_plan=plan, retry_backoff=0.0)
+        assert pool.map([1, 2], _double, _double) == [2, 4]
+        assert pool.stats.worker_crashes == 0
+        assert pool.map([3, 4], _double, _double, first_index=4) == [6, 8]
+        assert pool.stats.worker_crashes == 1
