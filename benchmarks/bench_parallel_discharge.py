@@ -7,8 +7,8 @@ scheduler's payoff on the multi-V-scale flow with a cold cache:
 
 * ``jobs=1``  — the historical serial discharge,
 * ``jobs=N``  — obligation batches fanned out to N worker processes,
-* warm cache — a second run against the verdict cache, where plan-time
-  probes mean (almost) nothing reaches the checker at all.
+* warm cache — a second run against the verdict store file, where
+  plan-time probes mean (almost) nothing reaches the checker at all.
 
 On a >= 2-core runner the parallel run must be >= 1.5x faster than
 serial; on a single core the speedup is recorded but not asserted.
@@ -22,7 +22,7 @@ import time
 from conftest import FULL_SCALE, write_report
 
 from repro import PropertyChecker, synthesize_uspec
-from repro.formal import CachingPropertyChecker, VerdictCache
+from repro.formal import VerdictStore
 
 SCOPED_CANDIDATES = [
     "core_gen[0].core.inst_DX",
@@ -35,17 +35,17 @@ SCOPED_CANDIDATES = [
 
 def _run(jobs, cache_path=None):
     checker = PropertyChecker(bound=12, max_k=1)
-    cache = None
-    if cache_path is not None:
-        cache = VerdictCache(cache_path)
-        checker = CachingPropertyChecker(checker, cache)
+    verdicts = VerdictStore(cache_path) if cache_path is not None else None
     candidates = None if FULL_SCALE else SCOPED_CANDIDATES
     start = time.perf_counter()
-    result = synthesize_uspec(checker=checker, candidate_filter=candidates,
-                              jobs=jobs)
+    try:
+        result = synthesize_uspec(checker=checker,
+                                  candidate_filter=candidates, jobs=jobs,
+                                  verdicts=verdicts)
+    finally:
+        if verdicts is not None:
+            verdicts.close()
     elapsed = time.perf_counter() - start
-    if cache is not None:
-        cache.save()
     return result, elapsed
 
 
@@ -58,7 +58,7 @@ def test_parallel_discharge_speedup(tmp_path):
     speedup = serial_s / parallel_s if parallel_s else float("inf")
 
     # Warm-cache run: plan-time probes satisfy every obligation.
-    cache_path = str(tmp_path / "verdicts.json")
+    cache_path = str(tmp_path / "verdicts.jsonl")
     _, cold_cache_s = _run(jobs=jobs, cache_path=cache_path)
     warm_result, warm_s = _run(jobs=jobs, cache_path=cache_path)
 

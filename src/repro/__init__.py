@@ -58,7 +58,7 @@ def synthesize_uspec(sim_config: DesignConfig = SIM_CONFIG,
                      checker: Optional[PropertyChecker] = None,
                      candidate_filter: Optional[Sequence[str]] = None,
                      jobs: int = 1,
-                     journal=None,
+                     verdicts=None,
                      check_timeout: Optional[float] = None,
                      compose: bool = False) -> SynthesisResult:
     """One-call rtl2uspec run on the bundled multi-V-scale.
@@ -69,9 +69,11 @@ def synthesize_uspec(sim_config: DesignConfig = SIM_CONFIG,
     the paper's 6.84-minute synthesis). ``jobs`` parallelizes SVA
     discharge across worker processes (1 = serial, 0 = all cores); any
     setting yields identical verdicts and a byte-identical model.
-    ``journal`` (a :class:`repro.formal.VerdictJournal`) checkpoints
-    verdicts for crash/Ctrl-C resume; ``check_timeout`` caps each SVA's
-    wall clock (exhaustion degrades to a conservative UNKNOWN).
+    ``verdicts`` (a :class:`repro.formal.VerdictStore`) serves verdicts
+    it already holds and records the rest, so a file-backed store is
+    also the checkpoint an interrupted run resumes from;
+    ``check_timeout`` caps each SVA's wall clock (exhaustion degrades
+    to a conservative UNKNOWN).
     ``compose`` switches property discharge to hierarchical
     compositional synthesis (per-module obligation graphs with
     assume-guarantee interfaces and module-granularity caching); the
@@ -86,7 +88,7 @@ def synthesize_uspec(sim_config: DesignConfig = SIM_CONFIG,
     metadata = multi_vscale_metadata(sim_cfg)
     with Rtl2Uspec(sim_netlist, formal_netlist, metadata,
                    checker=checker, candidate_filter=candidate_filter,
-                   jobs=jobs, journal=journal,
+                   jobs=jobs, verdicts=verdicts,
                    check_timeout=check_timeout,
                    hier=hier,
                    compose=compose) as synthesizer:

@@ -25,7 +25,8 @@ job count.
 Exit codes: ``0`` success, ``1`` verification failures (or undecided
 budget-exhausted verdicts), ``2`` usage/data errors
 (:class:`repro.errors.ReproError`), ``130``/``143`` interrupted by
-SIGINT/SIGTERM after checkpointing (resume with ``--resume``).
+SIGINT/SIGTERM after checkpointing (the printed ``resume with:`` line
+says how to continue).
 """
 
 from __future__ import annotations
@@ -39,22 +40,6 @@ from . import __version__
 
 JOBS_HELP = ("worker processes (1 = serial, N>1 = N workers, 0 = all "
              "cores); verdicts are identical for any job count")
-
-
-def _install_interrupt_handlers(journal, argv_hint: str) -> None:
-    """Flush the verdict journal and print the resume recipe when the
-    run is interrupted (Ctrl-C) or terminated (SIGTERM)."""
-    import signal
-
-    def handler(signum, _frame):
-        journal.commit()
-        print(f"\ninterrupted — {len(journal)} verdict(s) checkpointed in "
-              f"{journal.path}", file=sys.stderr)
-        print(f"resume with: {argv_hint}", file=sys.stderr)
-        sys.exit(130 if signum == signal.SIGINT else 143)
-
-    signal.signal(signal.SIGINT, handler)
-    signal.signal(signal.SIGTERM, handler)
 
 
 def _convert_sigterm() -> dict:
@@ -78,12 +63,12 @@ def _interrupt_exit_code(state: dict) -> int:
     return 143 if state.get("signum") == signal.SIGTERM else 130
 
 
-def _print_interrupt(exc, resume_hint: str) -> None:
+def _print_interrupt(exc, resume_hint: str, flag: str = "--journal") -> None:
     print(f"\ninterrupted — {exc}", file=sys.stderr)
     if exc.resumable:
         print(f"resume with: {resume_hint}", file=sys.stderr)
     else:
-        print("(run again with --journal <path> to make interrupted runs "
+        print(f"(run again with {flag} <path> to make interrupted runs "
               "resumable)", file=sys.stderr)
 
 
@@ -124,52 +109,46 @@ def _formal_config(cores: int):
 
 
 def _cmd_synth(args: argparse.Namespace) -> int:
+    import shlex
+
     from . import synthesize_uspec
+    from .errors import InterruptedRun
     from .formal import PropertyChecker
     from .uspec import format_model
 
-    engine_checker = PropertyChecker(bound=args.bound, max_k=args.max_k)
-    checker = engine_checker
-    cache = None
+    checker = PropertyChecker(bound=args.bound, max_k=args.max_k)
+    signal_state = _convert_sigterm()
+    verdicts = None
     if args.cache:
-        from .formal import CachingPropertyChecker, VerdictCache
-        cache = VerdictCache(args.cache)
-        if cache.quarantined:
-            print(f"warning: corrupt verdict cache quarantined to "
-                  f"{cache.quarantined}; starting with an empty cache",
+        from .formal import VerdictStore
+        # The cache file is also the checkpoint: re-running an
+        # interrupted command replays every verdict it had decided.
+        verdicts = VerdictStore(args.cache)
+        if verdicts.quarantined:
+            print(f"warning: {verdicts.quarantined_records} unreadable "
+                  f"verdict record(s) quarantined to "
+                  f"{verdicts.quarantined}; they will be re-executed",
                   file=sys.stderr)
-        # Neither the report nor the .uarch reads a counterexample
-        # trace, so a cached refutation is served as it is.
-        checker = CachingPropertyChecker(checker, cache)
-    journal = None
-    if args.journal:
-        from .formal import VerdictJournal
-        journal = VerdictJournal(args.journal, resume=args.resume)
-        if args.resume and len(journal):
-            print(f"resuming: {len(journal)} verdict(s) replayed from "
-                  f"{args.journal}")
-        if journal.quarantined_records:
-            print(f"warning: {journal.quarantined_records} corrupt journal "
-                  f"record(s) quarantined to {journal.quarantined}; they "
-                  f"will be re-executed", file=sys.stderr)
-        _install_interrupt_handlers(
-            journal,
-            f"rtl2uspec synth --journal {args.journal} --resume "
-            f"-o {args.output}")
     candidates = args.candidates.split(",") if args.candidates else None
     try:
         result = synthesize_uspec(buggy=args.buggy, checker=checker,
                                   candidate_filter=candidates, jobs=args.jobs,
-                                  journal=journal,
+                                  verdicts=verdicts,
                                   check_timeout=args.timeout or None,
                                   formal_config=_formal_config(args.cores),
                                   compose=args.compose)
+    except KeyboardInterrupt:
+        kept = (f"{len(verdicts)} verdict(s) kept in {args.cache}"
+                if verdicts is not None else "no verdict cache")
+        _print_interrupt(InterruptedRun(kept, resumable=bool(args.cache)),
+                         "rtl2uspec " + shlex.join(args.argv), "--cache")
+        return _interrupt_exit_code(signal_state)
     finally:
-        if journal is not None:
-            journal.close()
+        if verdicts is not None:
+            verdicts.close()
     from .core import full_report
     print(full_report(result))
-    engine_stats = engine_checker.stats
+    engine_stats = checker.stats
     print(f"engine: {int(engine_stats['checks'])} check(s), bitblast "
           f"{int(engine_stats['blast_hits'])} hit(s) / "
           f"{int(engine_stats['blast_misses'])} miss(es)")
@@ -188,14 +167,9 @@ def _cmd_synth(args: argparse.Namespace) -> int:
     with open(args.output, "w", encoding="utf-8") as handle:
         handle.write(text)
     print(f"\nuspec model written to {args.output}")
-    if cache is not None:
-        cache.save()
-        stats = cache.stats()
-        print(f"verdict cache: {stats['hits']} hits, {stats['misses']} misses, "
-              f"{stats['trace_reruns']} trace re-runs "
-              f"({stats['entries']} entries in {args.cache})")
-    if journal is not None:
-        print(f"verdict journal: {len(journal)} verdict(s) in {args.journal}")
+    if verdicts is not None:
+        print(f"verdict cache: {verdicts.hits} hits, {verdicts.misses} "
+              f"misses ({len(verdicts)} verdicts in {args.cache})")
     return 0
 
 
@@ -757,14 +731,10 @@ def main(argv: Optional[List[str]] = None) -> int:
                             help="flatten-then-prove discharge over the "
                                  "whole design (the default)")
     p_synth.add_argument("--cache", default="",
-                         help="verdict-cache JSON file (repeat runs become fast)")
-    p_synth.add_argument("--journal", default="",
-                         help="append-only verdict journal (JSONL) for "
-                              "crash/Ctrl-C checkpointing")
-    p_synth.add_argument("--resume", action="store_true",
-                         help="replay an existing --journal instead of "
-                              "starting it fresh (already-decided SVAs are "
-                              "not re-executed)")
+                         help="verdict store file (JSONL): decided SVAs "
+                              "are replayed, not re-checked, and an "
+                              "interrupted run resumes by re-running the "
+                              "same command")
     p_synth.add_argument("--timeout", type=float, default=0.0,
                          help="per-SVA wall-clock budget in seconds "
                               "(0 = unlimited; exhaustion yields a "
@@ -1066,6 +1036,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     p_cache.set_defaults(func=_cmd_cache)
 
     args = parser.parse_args(argv)
+    args.argv = sys.argv[1:] if argv is None else list(argv)
     from .errors import ReproError
     try:
         return args.func(args)

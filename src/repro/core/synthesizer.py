@@ -43,8 +43,7 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from ..dfg import Dfg, StageLabels, full_design_dfg, label_stages
 from ..errors import SynthesisError
-from ..formal import PropertyChecker
-from ..formal.journal import VerdictJournal
+from ..formal import PropertyChecker, VerdictStore
 from ..formal.scheduler import DischargeScheduler, DischargeStats
 from ..netlist import HierNetlist, Netlist
 from ..sva import ComposedSvaFactory, EventSpec, InstrSpec, SvaFactory
@@ -173,13 +172,13 @@ class Rtl2Uspec:
     did; N>1 fans independent obligations out to a process pool; 0 or
     ``None`` means ``os.cpu_count()``.
 
-    ``journal`` attaches an append-only verdict journal: every decided
-    SVA is checkpointed per batch, and a journal opened with
-    ``resume=True`` serves already-decided obligations without
-    re-execution.  ``check_timeout`` is the per-SVA wall-clock budget
-    in seconds; a check that exhausts it yields an UNKNOWN verdict
-    whose hypothesized edge is kept conservatively.  The class is a
-    context manager; exiting it releases the discharge worker pool.
+    ``verdicts`` attaches a :class:`repro.formal.VerdictStore`: every
+    freshly decided SVA is recorded as it completes, and verdicts it
+    already holds are served without re-execution.  ``check_timeout``
+    is the per-SVA wall-clock budget in seconds; a check that exhausts
+    it yields an UNKNOWN verdict whose hypothesized edge is kept
+    conservatively.  The class is a context manager; exiting it
+    releases the discharge worker pool.
     """
 
     def __init__(self, sim_netlist: Netlist, formal_netlist: Netlist,
@@ -190,7 +189,7 @@ class Rtl2Uspec:
                  relaxed: bool = True,
                  candidate_filter: Optional[Sequence[str]] = None,
                  jobs: int = 1,
-                 journal: Optional[VerdictJournal] = None,
+                 verdicts: Optional[VerdictStore] = None,
                  check_timeout: Optional[float] = None,
                  hier: Optional[HierNetlist] = None,
                  compose: bool = False):
@@ -228,7 +227,7 @@ class Rtl2Uspec:
                 f"{self.iface.resource!r}; the emitted model needs its "
                 "location (add it to the candidates)")
         self.scheduler = DischargeScheduler(self.checker, self.factory, jobs=jobs,
-                                            journal=journal,
+                                            verdicts=verdicts,
                                             timeout_seconds=check_timeout,
                                             dedupe=compose)
         # State populated during synthesis:

@@ -8,7 +8,7 @@ it either proves an assertion or refutes it with a counterexample trace.
 from .aig import Aig, lit_neg
 from .aiger import export_problem, write_aiger
 from .bitblast import BlastCache, BlastedDesign, bitblast, extend_bitblast
-from .cache import CachingPropertyChecker, VerdictCache, problem_fingerprint
+from .cache import VerdictStore, problem_fingerprint
 from .engine import (
     PROVEN,
     PROVEN_BOUNDED,
@@ -22,7 +22,6 @@ from .engine import (
     Verdict,
 )
 from .faults import FaultPlan, FaultyPropertyChecker
-from .journal import VerdictJournal
 from .scheduler import DischargeScheduler, DischargeStats
 from .trace import Trace, extract_trace, trace_to_vcd
 from .unroll import Unroller
@@ -35,8 +34,7 @@ __all__ = [
     "bitblast",
     "extend_bitblast",
     "BlastCache",
-    "VerdictCache",
-    "CachingPropertyChecker",
+    "VerdictStore",
     "problem_fingerprint",
     "BlastedDesign",
     "Unroller",
@@ -49,7 +47,6 @@ __all__ = [
     "PropertyChecker",
     "DischargeScheduler",
     "DischargeStats",
-    "VerdictJournal",
     "FaultPlan",
     "FaultyPropertyChecker",
     "PROVEN",

@@ -1,34 +1,49 @@
-"""Persistent verdict caching for property checks.
+"""One verdict store for property checks.
 
-Synthesis evaluates a hundred-plus SVAs; across repeat runs (tests,
-benchmarks, regenerating models) most problems are byte-identical. The
-cache keys a :class:`SafetyProblem` by a canonical hash of its netlist
-and property wiring plus the checker parameters, and stores verdicts
-(without traces — refutations are re-run when the trace is needed).
+Synthesis discharges a hundred-plus SVAs; across repeat runs (tests,
+benchmarks, regenerating models, re-running an interrupted command)
+most problems are byte-identical.  :func:`problem_fingerprint` keys a
+:class:`SafetyProblem` by a canonical hash of its netlist and property
+wiring plus the checker parameters, and :class:`VerdictStore` maps
+that fingerprint to a verdict (without its trace: nothing downstream
+of discharge reads one).
+
+The store is an in-memory tier over at most one backend:
+
+* a JSONL file in the :class:`repro.resilience.journal.Journal` format
+  (``synth --cache`` and the pipeline's ``synth.jsonl``).  The file is
+  also the checkpoint: verdicts are appended and fsynced per batch, a
+  torn or corrupt tail is quarantined on replay, and re-running an
+  interrupted command replays every verdict it had decided;
+* an :class:`repro.service.store.ArtifactStore` namespace (the
+  service's warm workers), written through on every record.
+
+Only decided verdicts reach a backend.  UNKNOWN is shaped by the run's
+budget (timeout/conflict caps), which :func:`problem_fingerprint`
+deliberately excludes; persisting one would let a tightly-budgeted run
+poison every later run with a larger budget for the same problem.
 """
 
 from __future__ import annotations
 
 import hashlib
-import json
-import os
-import tempfile
 from typing import Dict, Optional
 
 from ..netlist import Netlist, netlist_fingerprint
-from .engine import REFUTED, UNKNOWN, CheckParams, Verdict
+from ..resilience.journal import Journal
+from .engine import UNKNOWN, VERDICT_STATUSES, Verdict
+
+#: artifact-store namespace holding the service's verdicts
+VERDICT_NAMESPACE = "verdict"
+
+_REQUIRED = ("status", "method", "bound", "time_seconds")
 
 
-def _decided(entry: Dict) -> bool:
-    """True for entries safe to share across runs.
-
-    UNKNOWN verdicts are shaped by the run's budget (timeout/conflict
-    caps), which :func:`problem_fingerprint` deliberately excludes —
-    persisting one would let a tightly-budgeted run poison every later
-    run with a larger budget for the same problem.  They stay cached in
-    memory (one process has one budget) but never cross processes.
-    """
-    return entry.get("status") != UNKNOWN
+def _decided(entry) -> bool:
+    """True for a well-formed entry that may cross processes."""
+    return isinstance(entry, dict) and \
+        all(key in entry for key in _REQUIRED) and \
+        entry["status"] in VERDICT_STATUSES and entry["status"] != UNKNOWN
 
 
 def encode_verdict(verdict: Verdict) -> Dict:
@@ -58,19 +73,13 @@ def decode_verdict(entry: Dict, default_name: str = "cached") -> Verdict:
     )
 
 
-def _entries_checksum(entries: Dict[str, Dict]) -> str:
-    """Canonical content hash of the cache payload."""
-    payload = json.dumps(entries, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(payload.encode("utf-8")).hexdigest()
-
-
 def problem_fingerprint(problem, bound: int, max_k: int) -> str:
     """A stable content hash of a :class:`SafetyProblem` instance.
 
     The netlist structure hash is delegated to
     :func:`repro.netlist.netlist_fingerprint` (canonical under cell
     reordering and memoized per netlist instance, so the shared
-    bitblast cache and the verdict cache pay for it once).
+    bitblast cache and the verdict store pay for it once).
     """
     netlist: Netlist = problem.netlist
     hasher = hashlib.sha256()
@@ -87,164 +96,105 @@ def problem_fingerprint(problem, bound: int, max_k: int) -> str:
     return hasher.hexdigest()
 
 
-class VerdictCache:
-    """A JSON-file-backed verdict store.
+class _VerdictFile(Journal):
+    """The file backend: one checksummed record per decided verdict."""
 
-    Refuted verdicts are cached as facts but re-checked when a trace is
-    required (the cache stores no traces). Use via
-    :class:`CachingPropertyChecker`.
+    format = "rtl2uspec-verdict-journal"
 
-    On-disk format (version 2) wraps the entries in an envelope with a
-    SHA-256 checksum.  A file that fails to parse or whose checksum
-    does not match is *quarantined* — renamed to ``<path>.corrupt`` —
-    and the cache starts empty; corruption is never allowed to crash or
-    silently poison a synthesis run.  Version-1 files (a bare JSON
-    dict) are still read.
+    def _valid_entry(self, entry) -> bool:
+        return isinstance(entry, dict) and \
+            entry.get("status") in VERDICT_STATUSES
+
+
+class VerdictStore:
+    """Maps problem fingerprints to verdicts.
+
+    ``path`` selects the file backend: ``resume=True`` replays an
+    existing file (a missing one starts empty), ``resume=False``
+    truncates it.  ``artifacts`` (an ``ArtifactStore``) selects the
+    store backend instead; with neither, the store lives in memory.
+
+    :meth:`lookup` reads memory, then the backend, and counts hits and
+    misses.  :meth:`record` always writes memory and persists only a
+    decided verdict; the file makes it durable on :meth:`commit`, the
+    artifact store at once.  A refused store write (full disk, byte
+    budget) only costs cross-process reuse and counts in
+    :attr:`store_write_errors`.
     """
 
-    def __init__(self, path: Optional[str] = None):
-        """``path=None`` keeps the cache purely in memory (``save()``
-        becomes a no-op) — the base for store-backed subclasses like
-        :class:`repro.service.caches.PersistentVerdictCache`."""
-        self.path = path
-        self._entries: Dict[str, Dict] = {}
+    def __init__(self, path: Optional[str] = None, resume: bool = True,
+                 artifacts=None):
+        self._file = _VerdictFile(path, resume=resume) if path else None
+        self._artifacts = artifacts
+        #: fingerprint -> encoded verdict; the file backend's replayed
+        #: records (UNKNOWN written by older versions is dropped)
+        self._memory: Dict[str, Dict] = {} if self._file is None else {
+            fingerprint: entry for fingerprint, entry in self._file.items()
+            if _decided(entry)}
         self.hits = 0
         self.misses = 0
-        #: cached refutations re-executed because a trace was required
-        self.trace_reruns = 0
-        #: path the last corrupt cache file was renamed to (None if ok)
-        self.quarantined: Optional[str] = None
-        if path and os.path.exists(path):
-            self._load(path)
+        #: lookups served from the artifact store rather than memory
+        self.store_hits = 0
+        #: write-throughs the artifact store refused
+        self.store_write_errors = 0
 
-    def _load(self, path: str) -> None:
-        try:
-            with open(path, "r", encoding="utf-8") as handle:
-                data = json.load(handle)
-            if not isinstance(data, dict):
-                raise ValueError("cache root is not an object")
-            if "entries" in data:
-                entries = data["entries"]
-                if not isinstance(entries, dict) or \
-                        data.get("checksum") != _entries_checksum(entries):
-                    raise ValueError("cache checksum mismatch")
-            else:
-                # Version-1 file: a bare fingerprint -> entry dict.
-                if not all(isinstance(v, dict) for v in data.values()):
-                    raise ValueError("cache entries are not objects")
-                entries = data
-            # Drop budget-shaped verdicts written by older versions:
-            # this run's budget may differ from the writer's.
-            self._entries = {fingerprint: entry
-                             for fingerprint, entry in entries.items()
-                             if _decided(entry)}
-        except (json.JSONDecodeError, OSError, ValueError, KeyError):
-            self._entries = {}
-            self._quarantine(path)
+    @property
+    def quarantined(self) -> Optional[str]:
+        """Where replay moved an unreadable tail of the file (or None)."""
+        return self._file.quarantined if self._file is not None else None
 
-    def _quarantine(self, path: str) -> None:
-        """Move a corrupt cache aside so the next save starts clean."""
-        target = path + ".corrupt"
-        try:
-            os.replace(path, target)
-            self.quarantined = target
-        except OSError:
-            # Can't rename (permissions, races): just ignore the file.
-            self.quarantined = None
+    @property
+    def quarantined_records(self) -> int:
+        return self._file.quarantined_records if self._file is not None \
+            else 0
 
     def lookup(self, fingerprint: str) -> Optional[Verdict]:
-        entry = self._entries.get(fingerprint)
+        entry = self._memory.get(fingerprint)
+        if entry is None and self._artifacts is not None:
+            entry = self._artifacts.get_json(VERDICT_NAMESPACE, fingerprint)
+            if _decided(entry):
+                self._memory[fingerprint] = entry
+                self.store_hits += 1
+            else:
+                # Absent, malformed, or an UNKNOWN an older daemon
+                # wrote: a miss, healed by the recompute's write-through.
+                entry = None
         if entry is None:
             self.misses += 1
             return None
         self.hits += 1
         return decode_verdict(entry)
 
-    def store(self, fingerprint: str, verdict: Verdict) -> None:
-        self._entries[fingerprint] = encode_verdict(verdict)
-
-    def save(self) -> None:
-        """Atomically persist the cache.
-
-        The entries are serialized to a temporary file in the target
-        directory and moved into place with :func:`os.replace`, so a
-        crashed or concurrent run can never leave a truncated JSON file
-        behind — the previous cache survives any failure mid-write.
-        """
-        if not self.path:
-            return  # in-memory cache (or a store-backed subclass)
-        persisted = {fingerprint: entry
-                     for fingerprint, entry in self._entries.items()
-                     if _decided(entry)}
-        directory = os.path.dirname(os.path.abspath(self.path))
-        os.makedirs(directory, exist_ok=True)
-        fd, temp_path = tempfile.mkstemp(
-            prefix=os.path.basename(self.path) + ".", suffix=".tmp",
-            dir=directory)
-        try:
-            with os.fdopen(fd, "w", encoding="utf-8") as handle:
-                json.dump({
-                    "format": "rtl2uspec-verdict-cache",
-                    "version": 2,
-                    "checksum": _entries_checksum(persisted),
-                    "entries": persisted,
-                }, handle, indent=0)
-            os.replace(temp_path, self.path)
-        except BaseException:
+    def record(self, fingerprint: str, verdict: Verdict) -> None:
+        entry = encode_verdict(verdict)
+        persisted = _decided(self._memory.get(fingerprint))
+        self._memory[fingerprint] = entry
+        if persisted or not _decided(entry):
+            return
+        if self._file is not None:
+            self._file.record_entry(fingerprint, entry)
+        elif self._artifacts is not None:
             try:
-                os.unlink(temp_path)
+                self._artifacts.put_json(VERDICT_NAMESPACE, fingerprint,
+                                         entry)
             except OSError:
-                pass
-            raise
+                self.store_write_errors += 1
 
-    def stats(self) -> Dict[str, int]:
-        """Hit/miss/re-run counters plus the current entry count."""
-        return {
-            "hits": self.hits,
-            "misses": self.misses,
-            "trace_reruns": self.trace_reruns,
-            "entries": len(self._entries),
-        }
+    def commit(self) -> None:
+        """Flush and fsync the file backend's pending records."""
+        if self._file is not None:
+            self._file.commit()
+
+    def close(self) -> None:
+        """Commit and release the file (idempotent)."""
+        if self._file is not None:
+            self._file.close()
 
     def __len__(self) -> int:
-        return len(self._entries)
+        return len(self._memory)
 
+    def __enter__(self) -> "VerdictStore":
+        return self
 
-class CachingPropertyChecker:
-    """Wraps a :class:`PropertyChecker` with a :class:`VerdictCache`.
-
-    Cached refutations carry no counterexample trace; pass
-    ``need_traces=True`` to force re-running refuted problems so the
-    trace is available (e.g. for bug reporting).
-    """
-
-    def __init__(self, checker, cache: VerdictCache, need_traces: bool = False):
-        self.checker = checker
-        self.cache = cache
-        self.need_traces = need_traces
-        # Expose the wrapped checker's tuning knobs.
-        self.bound = checker.bound
-        self.max_k = checker.max_k
-        self.stats = checker.stats
-
-    def check(self, problem, bound: Optional[int] = None,
-              prove: bool = True) -> Verdict:
-        effective_bound = bound if bound is not None else self.checker.bound
-        fingerprint = problem_fingerprint(problem, effective_bound,
-                                          self.checker.max_k)
-        cached = self.cache.lookup(fingerprint)
-        if cached is not None:
-            if not (cached.status == REFUTED and self.need_traces):
-                cached.name = problem.name
-                return cached
-            # Cached refutation, but the caller needs the trace: the
-            # hit/miss asymmetry is surfaced as a trace re-run.
-            self.cache.trace_reruns += 1
-        verdict = self.checker.check(problem, bound=bound, prove=prove)
-        self.cache.store(fingerprint, verdict)
-        return verdict
-
-    def check_problem(self, problem, params: Optional[CheckParams] = None) -> Verdict:
-        """Mirror of :meth:`PropertyChecker.check_problem`."""
-        params = params or CheckParams()
-        return self.check(problem, bound=params.bound, prove=params.prove)
+    def __exit__(self, *_exc) -> None:
+        self.close()

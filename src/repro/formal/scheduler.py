@@ -11,12 +11,11 @@ scheduler holds across all of its batches and rounds — inline for
 ``jobs=1`` (bit-for-bit the serial behavior), on ``jobs`` worker
 processes otherwise.
 
-Cache-aware batching: when the wrapped checker carries a
-:class:`VerdictCache`, every obligation is fingerprinted and probed *at
-plan time* in the parent process, so only cache misses are ever
-submitted to the pool.  Cached refutations are re-executed when the
-caller needs counterexample traces (``need_traces``), and those
-re-runs are surfaced as ``trace_reruns`` in the statistics.
+Store-aware batching: with a :class:`repro.formal.cache.VerdictStore`
+attached, every obligation is fingerprinted and probed *at plan time*
+in the parent process, so only misses are ever submitted to the pool.
+A stored refutation is served as it is: it carries no trace, and
+nothing downstream of discharge reads one.
 
 Workers are initialized once with the (picklable) :class:`SvaFactory`
 and the raw :class:`PropertyChecker`; per-task payloads are just
@@ -37,10 +36,11 @@ indices.  Checks that exhaust their own wall-clock/conflict budgets
 return first-class UNKNOWN verdicts, which downstream consumers treat
 conservatively.
 
-Checkpointing: with a :class:`repro.formal.journal.VerdictJournal`
-attached, every freshly decided verdict is appended and fsynced once
-per batch, and journal replay serves already-decided obligations on a
-resumed run without re-executing them.
+Checkpointing: the store records each freshly decided verdict as the
+pool finalizes it and is committed (fsynced, for the file backend)
+once per batch and when discharge aborts, so an interrupt mid-batch
+keeps every verdict already decided.  A re-run against the same store
+serves them without re-executing anything.
 
 Determinism: batches are formed and results are consumed in graph
 insertion order regardless of completion order, so ``jobs=N`` produces
@@ -57,10 +57,9 @@ from typing import Dict, List, Optional, Tuple
 from ..errors import FormalError
 from ..resilience.pool import PoolStats, WorkerPool, resolve_jobs, \
     worker_state
-from .cache import CachingPropertyChecker, VerdictCache, problem_fingerprint
+from .cache import VerdictStore, problem_fingerprint
 from .engine import VERDICT_STATUSES, CheckParams, PropertyChecker, Verdict
 from .faults import FaultyPropertyChecker
-from .journal import VerdictJournal
 
 
 # ----------------------------------------------------------------------
@@ -114,10 +113,8 @@ class DischargeStats:
     executed: int = 0         # SVAs actually evaluated
     skipped: int = 0          # gated out by the fallback chains
     deduplicated: int = 0     # hypotheses folded onto an existing signature
-    cache_hits: int = 0       # verdicts served from the VerdictCache
+    cache_hits: int = 0       # verdicts served from the VerdictStore
     cache_misses: int = 0
-    trace_reruns: int = 0     # cached refutations re-run for their trace
-    journal_hits: int = 0     # verdicts replayed from the resume journal
     batches: int = 0          # topological waves executed
     rounds: int = 0           # discharge() calls
     unknowns: int = 0         # first-class UNKNOWN verdicts (budget hits)
@@ -148,13 +145,10 @@ class DischargeStats:
             f"  executed {self.executed}, skipped {self.skipped} (fallback "
             f"gates), deduplicated {self.deduplicated}",
         ]
-        if self.cache_hits or self.cache_misses or self.trace_reruns:
+        if self.cache_hits or self.cache_misses:
             lines.append(
                 f"  verdict cache: {self.cache_hits} hits, "
-                f"{self.cache_misses} misses, {self.trace_reruns} trace re-runs")
-        if self.journal_hits:
-            lines.append(f"  resume journal: {self.journal_hits} verdict(s) "
-                         "replayed without re-execution")
+                f"{self.cache_misses} misses")
         if self.faults_observed() or self.retries or self.inline_fallbacks:
             lines.append(
                 f"  faults: {self.worker_crashes} worker crash(es), "
@@ -185,11 +179,11 @@ class DischargeStats:
 class DischargeScheduler:
     """Executes obligation graphs against a property checker.
 
-    ``checker`` may be a bare :class:`PropertyChecker` or a
-    :class:`CachingPropertyChecker`; in the latter case the scheduler
-    takes over the cache so probes happen at plan time.  A
-    :class:`FaultyPropertyChecker` around either hands its fault plan
-    to the worker pool.  ``jobs<=0`` means ``os.cpu_count()``.
+    ``checker`` is a :class:`PropertyChecker`; a
+    :class:`FaultyPropertyChecker` around one hands its fault plan to
+    the worker pool.  ``verdicts`` attaches a :class:`VerdictStore`,
+    probed at plan time and fed every fresh decided verdict.
+    ``jobs<=0`` means ``os.cpu_count()``.
 
     Fault-tolerance knobs: ``timeout_seconds`` is the per-SVA
     wall-clock budget handed to each check (exhaustion = UNKNOWN);
@@ -197,12 +191,11 @@ class DischargeScheduler:
     worker before declaring it hung and rebuilding the pool;
     ``max_retries`` bounds re-submissions per obligation before it
     falls back to inline execution; ``retry_backoff`` is the base of
-    the exponential backoff between retry waves.  ``journal`` attaches
-    an append-only verdict journal for checkpoint/resume.
+    the exponential backoff between retry waves.
     """
 
     def __init__(self, checker, factory, jobs: int = 1,
-                 journal: Optional[VerdictJournal] = None,
+                 verdicts: Optional[VerdictStore] = None,
                  timeout_seconds: Optional[float] = None,
                  watchdog_seconds: Optional[float] = None,
                  max_retries: int = 3,
@@ -218,15 +211,8 @@ class DischargeScheduler:
         fault_plan = None
         if isinstance(checker, FaultyPropertyChecker):
             checker, fault_plan = checker
-        if isinstance(checker, CachingPropertyChecker):
-            self._engine: PropertyChecker = checker.checker
-            self._cache: Optional[VerdictCache] = checker.cache
-            self._need_traces = checker.need_traces
-        else:
-            self._engine = checker
-            self._cache = None
-            self._need_traces = False
-        self._journal = journal
+        self._engine: PropertyChecker = checker
+        self._verdicts = verdicts
         self._params = CheckParams(timeout_seconds=timeout_seconds)
         self.stats = DischargeStats(jobs=self.jobs)
         self._workers = WorkerPool(
@@ -296,11 +282,13 @@ class DischargeScheduler:
                     self.stats.check_seconds += verdict.time_seconds
                     if verdict.unknown:
                         self.stats.unknowns += 1
+                if self._verdicts is not None:
+                    self._verdicts.commit()
         finally:
             # Checkpoint whatever completed, even when aborting mid-run
             # (deadlock, unrecoverable fault, KeyboardInterrupt).
-            if self._journal is not None:
-                self._journal.commit()
+            if self._verdicts is not None:
+                self._verdicts.commit()
             self.stats.wall_seconds += time.perf_counter() - start
         return results
 
@@ -317,29 +305,20 @@ class DischargeScheduler:
         dedupe_primary: Dict[str, int] = {}
         dedupe_followers: Dict[str, List[int]] = {}
 
-        if self._cache is not None or self._journal is not None or self.dedupe:
-            # Plan-time probes: journal first (resumed verdicts), then
-            # isomorphic-problem dedupe, then the cache; only misses are
-            # ever executed.
+        if self._verdicts is not None or self.dedupe:
+            # Plan-time probes: isomorphic-problem dedupe, then the
+            # verdict store; only misses are ever executed.
             for index, obligation in enumerate(batch):
                 problem = obligation.build(self.factory)
                 problems[index] = problem
                 fingerprint = problem_fingerprint(
                     problem, self._engine.bound, self._engine.max_k)
                 fingerprints[index] = fingerprint
-                journaled = None if self._journal is None \
-                    else self._journal.lookup(fingerprint)
-                if journaled is not None:
-                    journaled.name = problem.name
-                    outcomes[index] = journaled
-                    self.stats.journal_hits += 1
-                    continue
                 # Any two problems with equal fingerprints are the same
                 # netlist + property: echo obligations over full-design
                 # problems (resource states) dedupe exactly like module-
                 # scoped ones do.
-                dedupable = self.dedupe
-                if dedupable:
+                if self.dedupe:
                     prior = self._decided.get(fingerprint)
                     if prior is not None:
                         outcomes[index] = replace(prior, name=problem.name)
@@ -349,28 +328,17 @@ class DischargeScheduler:
                         dedupe_followers.setdefault(fingerprint, []).append(index)
                         self._count_dedupe(problem)
                         continue
-                if self._cache is None:
-                    if dedupable:
-                        dedupe_primary[fingerprint] = index
-                    to_run.append(index)
-                    continue
-                cached = self._cache.lookup(fingerprint)
-                if cached is None:
+                if self._verdicts is not None:
+                    stored = self._verdicts.lookup(fingerprint)
+                    if stored is not None:
+                        stored.name = problem.name
+                        outcomes[index] = stored
+                        self.stats.cache_hits += 1
+                        continue
                     self.stats.cache_misses += 1
-                    if dedupable:
-                        dedupe_primary[fingerprint] = index
-                    to_run.append(index)
-                elif cached.refuted and self._need_traces:
-                    # The cache stores no traces; re-run for the CEX.
-                    self._cache.trace_reruns += 1
-                    self.stats.trace_reruns += 1
-                    if dedupable:
-                        dedupe_primary[fingerprint] = index
-                    to_run.append(index)
-                else:
-                    cached.name = problem.name
-                    outcomes[index] = cached
-                    self.stats.cache_hits += 1
+                if self.dedupe:
+                    dedupe_primary[fingerprint] = index
+                to_run.append(index)
         else:
             to_run = list(range(len(batch)))
 
@@ -379,7 +347,8 @@ class DischargeScheduler:
         first_index = self._task_counter
         self._task_counter += len(to_run)
         if to_run:
-            verdicts = self._run_pool(batch, to_run, problems, first_index)
+            verdicts = self._run_pool(batch, to_run, problems, first_index,
+                                      fingerprints)
             for index, verdict in zip(to_run, verdicts):
                 outcomes[index] = verdict
 
@@ -403,35 +372,23 @@ class DischargeScheduler:
                 if not verdict.unknown:
                     self._decided.setdefault(fingerprints[index], verdict)
 
-        if self._cache is not None:
-            for index in to_run:
-                verdict = outcomes[index]
-                # UNKNOWN is a budget artifact, not a fact about the
-                # design: never persist it in the cross-run cache.
-                if verdict is not None and not verdict.unknown:
-                    self._cache.store(fingerprints[index], verdict)
-        if self._journal is not None:
-            # Journal every verdict resolved this batch (fresh runs and
-            # cache hits alike) so resume never depends on the cache;
-            # discharge() commits once per batch.
-            for index, fingerprint in fingerprints.items():
-                verdict = outcomes[index]
-                if verdict is not None and fingerprint not in self._journal:
-                    self._journal.record(fingerprint, verdict)
-
         return [(obligation, outcomes[index])
                 for index, obligation in enumerate(batch)
                 if outcomes[index] is not None]
 
     # ------------------------------------------------------------------
     def _run_pool(self, batch, to_run: List[int], problems: Dict[int, object],
-                  first_index: int) -> List[Verdict]:
+                  first_index: int, fingerprints: Dict[int, str]
+                  ) -> List[Verdict]:
         """Decide ``batch[i]`` for each ``i`` in ``to_run`` on the worker
         pool (inline at ``jobs=1`` or for a single obligation).
 
         Workers rebuild each problem from its builder; the inline path
         and the pool's last-resort fallback reuse the problem built at
-        plan time, if there is one.
+        plan time, if there is one.  Each decided verdict is recorded
+        in the verdict store under ``fingerprints[i]`` as the pool
+        finalizes it, so an interrupt keeps the ones delivered before
+        it.
         """
         def inline(item) -> Tuple[Verdict, None]:
             index = item[0]
@@ -442,9 +399,18 @@ class DischargeScheduler:
 
         items = [(index, batch[index].builder, batch[index].args,
                   self._params) for index in to_run]
-        results = self._workers.map(items, _worker_check, inline,
-                                    first_index=first_index,
-                                    validate=_result_valid)
+        def record(position: int, result) -> None:
+            verdict = result[0]
+            # UNKNOWN is a budget artifact, not a fact about the design:
+            # it never enters the store.
+            if not verdict.unknown:
+                self._verdicts.record(fingerprints[to_run[position]],
+                                      verdict)
+
+        results = self._workers.map(
+            items, _worker_check, inline, first_index=first_index,
+            validate=_result_valid,
+            on_result=record if self._verdicts is not None else None)
         for _, delta in results:
             if delta is not None:
                 self._merge_stats(delta)

@@ -10,9 +10,9 @@ supervised stages with durable checkpoints in a state directory:
   *verify* a checkpoint instead of trusting it: a tampered or
   half-written artifact raises :class:`repro.errors.PipelineError`
   rather than silently poisoning downstream stages.
-* ``synth.jsonl`` — the formal layer's verdict journal.  A pipeline
-  killed mid-synthesis resumes without re-discharging a single
-  journaled SVA.
+* ``synth.jsonl`` — the file of the formal layer's verdict store (the
+  format ``synth --cache`` reads).  A pipeline killed mid-synthesis
+  resumes without re-discharging a single recorded SVA.
 * ``check.jsonl`` — the Check layer's suite journal.  A pipeline
   killed mid-verification resumes without re-solving a single
   journaled litmus test.
@@ -242,7 +242,7 @@ class Pipeline:
                              f"{self.model_path} (skipped)")
             return
         from .core.synthesizer import Rtl2Uspec
-        from .formal import PropertyChecker, VerdictJournal
+        from .formal import PropertyChecker, VerdictStore
         from .uspec import format_model
         sim_netlist, formal_netlist, metadata, bound, max_k, candidates, \
             formal_cores = preset
@@ -254,14 +254,14 @@ class Pipeline:
         if self.config.checker_factory is not None:
             checker = self.config.checker_factory(checker)
         resume = os.path.exists(self.synth_journal) and self.config.resume
-        journal = VerdictJournal(self.synth_journal, resume=resume)
-        if journal.quarantined_records:
+        verdicts = VerdictStore(self.synth_journal, resume=resume)
+        if verdicts.quarantined_records:
             self.config.echo(
-                f"[synth] warning: {journal.quarantined_records} corrupt "
-                f"journal record(s) quarantined to {journal.quarantined}; "
+                f"[synth] warning: {verdicts.quarantined_records} corrupt "
+                f"journal record(s) quarantined to {verdicts.quarantined}; "
                 f"they will be re-executed")
-        if resume and len(journal):
-            self.config.echo(f"[synth] resuming: {len(journal)} verdict(s) "
+        if resume and len(verdicts):
+            self.config.echo(f"[synth] resuming: {len(verdicts)} verdict(s) "
                              f"replayed from {self.synth_journal}")
         else:
             self.config.echo("[synth] synthesizing µspec model")
@@ -269,18 +269,17 @@ class Pipeline:
             with Rtl2Uspec(sim_netlist, formal_netlist, metadata,
                            checker=checker, formal_cores=formal_cores,
                            candidate_filter=candidates,
-                           jobs=self.config.jobs, journal=journal,
+                           jobs=self.config.jobs, verdicts=verdicts,
                            check_timeout=self.config.synth_timeout
                            ) as synthesizer:
                 result = synthesizer.synthesize()
         except KeyboardInterrupt as exc:
-            journal.commit()
             raise InterruptedRun(
-                f"pipeline interrupted during synth; {len(journal)} "
+                f"pipeline interrupted during synth; {len(verdicts)} "
                 f"verdict(s) checkpointed in {self.synth_journal}",
                 resumable=True) from exc
         finally:
-            journal.close()
+            verdicts.close()
         text = format_model(result.model)
         with open(self.model_path, "w", encoding="utf-8") as handle:
             handle.write(text)

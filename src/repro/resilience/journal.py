@@ -1,10 +1,11 @@
 """Append-only, per-record checksummed JSONL checkpoint journals.
 
-Generalizes the synthesis layer's verdict journal (PR 2) into a base
-class any layer can key its own records under.  The format is
-deliberately dumb — one self-describing header line, then one JSON
-object per record — because the failure mode it must survive is a
-process dying mid-write:
+A base class any layer keys its own records under: the formal layer's
+verdict store file (:class:`repro.formal.cache.VerdictStore`), the
+Check layer's suite and sweep journals, and the service's job ledger.
+The format is deliberately dumb — one self-describing header line,
+then one JSON object per record — because the failure mode it must
+survive is a process dying mid-write:
 
 * every record line carries a truncated SHA-256 of its payload, so a
   partially overwritten or bit-rotted line is detected, not replayed;
@@ -15,7 +16,8 @@ process dying mid-write:
   well-formed stream;
 * the dropped tail is never silently destroyed: its bytes are moved to
   ``<path>.quarantine`` (and :attr:`quarantined` names that file), so a
-  corrupt journal can be inspected after the run recovers.
+  corrupt journal can be inspected after the run recovers.  When not
+  even the first line is readable, the whole file is the tail.
 
 Appends accumulate in memory until :meth:`commit`, which writes,
 flushes, and fsyncs them; callers commit once per batch so at most one
@@ -63,15 +65,16 @@ class Journal:
         self.quarantined: Optional[str] = None
         #: non-empty lines dropped from a corrupt/torn tail on resume
         self.quarantined_records = 0
-        replayed_bytes = 0
-        if resume and os.path.exists(path):
-            replayed_bytes = self._replay(path)
+        replaying = resume and os.path.exists(path)
+        replayed_bytes = self._replay(path) if replaying else 0
         directory = os.path.dirname(os.path.abspath(path))
         try:
             os.makedirs(directory, exist_ok=True)
-            if resume and replayed_bytes:
-                # Quarantine any torn/garbage tail before appending.
+            if replaying:
+                # Quarantine any torn/garbage tail before appending; a
+                # file with an unreadable first line goes aside whole.
                 self._quarantine_tail(path, replayed_bytes)
+            if replayed_bytes:
                 self._handle = open(path, "a", encoding="utf-8")
             else:
                 self._handle = open(path, "w", encoding="utf-8")

@@ -5,11 +5,12 @@ the design, blast the cones, ground the suite — then throw all of it
 away.  This package keeps that work alive between requests:
 
 * :mod:`repro.service.store` — a content-addressed on-disk artifact
-  store (sha256-verified, atomically written) that makes VerdictCache
-  and BlastCache entries persistent and shared across runs, clients,
-  and daemon restarts;
-* :mod:`repro.service.caches` — drop-in persistent implementations of
-  the formal layer's verdict/bitblast caches, backed by the store;
+  store (sha256-verified, atomically written) that makes verdicts and
+  BlastCache entries persistent and shared across runs, clients, and
+  daemon restarts (it is the backend of the warm workers'
+  :class:`~repro.formal.VerdictStore`);
+* :mod:`repro.service.caches` — the drop-in persistent bitblast cache,
+  backed by the store;
 * :mod:`repro.service.ledger` — the crash-safe job ledger (built on
   :class:`repro.resilience.journal.Journal`): ``kill -9`` the daemon
   at any point and a restart resumes every in-flight job to

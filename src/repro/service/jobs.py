@@ -16,11 +16,13 @@ artifacts, so crash recovery is indistinguishable from slowness.
 between jobs — the reason ``repro serve`` exists:
 
 * elaborated design netlists (``parse`` once, reuse for every synth);
-* one :class:`~repro.formal.PropertyChecker` per (design, bound, k),
-  whose retained solvers and in-memory BlastCache survive
-  across jobs;
-* the persistent store tier (:mod:`repro.service.caches`), so verdict
-  and bitblast reuse also crosses process and daemon restarts.
+* one :class:`~repro.formal.PropertyChecker` and one
+  :class:`~repro.formal.VerdictStore` per (design, bound, k), whose
+  retained solvers, in-memory BlastCache and verdicts survive across
+  jobs;
+* the persistent store tier (the verdict store's artifact-store
+  backend and :mod:`repro.service.caches`), so verdict and bitblast
+  reuse also crosses process and daemon restarts.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ from typing import Dict, Optional, Tuple
 
 from ..errors import ServiceError
 from ..resilience import Budget
-from .caches import PersistentBlastCache, PersistentVerdictCache
+from .caches import PersistentBlastCache
 from .store import ArtifactStore
 
 JOB_KINDS = ("parse", "synth", "check", "sweep", "generate", "bench")
@@ -181,24 +183,26 @@ class WorkerContext:
         return self._presets[design]
 
     def checker(self, design: str, bound: int, max_k: int,
-                timeout: Optional[float]):
-        """One caching checker per problem shape, kept warm across
-        jobs.  Its blast cache and verdict cache are store-backed, so a
-        cold *process* still starts warm from disk."""
+                timeout: Optional[float]) -> Tuple:
+        """The ``(PropertyChecker, VerdictStore)`` pair of one problem
+        shape, kept warm across jobs.  Its blast cache and verdict
+        store are store-backed, so a cold *process* still starts warm
+        from disk.  The store never holds an UNKNOWN (the scheduler
+        records decided verdicts only), so a job's budget never leaks
+        into a later job's result."""
         key = (design, bound, max_k)
         if key not in self._checkers:
-            from ..formal import CachingPropertyChecker, PropertyChecker
-            engine_checker = PropertyChecker(
-                bound=bound, max_k=max_k,
-                blast_cache=PersistentBlastCache(self.store,
-                                                 self.blast_capacity))
-            self._checkers[key] = CachingPropertyChecker(
-                engine_checker, PersistentVerdictCache(self.store),
-                need_traces=True)
-        checker = self._checkers[key]
+            from ..formal import PropertyChecker, VerdictStore
+            self._checkers[key] = (
+                PropertyChecker(
+                    bound=bound, max_k=max_k,
+                    blast_cache=PersistentBlastCache(self.store,
+                                                     self.blast_capacity)),
+                VerdictStore(artifacts=self.store))
+        checker, verdicts = self._checkers[key]
         # Per-job budget without losing the warm caches.
-        checker.checker.timeout_seconds = timeout
-        return checker
+        checker.timeout_seconds = timeout
+        return checker, verdicts
 
     def close(self) -> None:
         try:
@@ -268,14 +272,15 @@ def _run_synth(params: Dict, ctx: WorkerContext):
     max_k = params["max_k"] if params["max_k"] is not None else max_k
     if params["candidates"] is not None:
         candidates = params["candidates"]
-    checker = ctx.checker(params["design"], bound, max_k,
-                          params["timeout"])
+    checker, verdicts = ctx.checker(params["design"], bound, max_k,
+                                    params["timeout"])
     with Rtl2Uspec(sim_netlist, formal_netlist, metadata,
-                   checker=checker, formal_cores=formal_cores,
+                   checker=checker, verdicts=verdicts,
+                   formal_cores=formal_cores,
                    candidate_filter=candidates, jobs=1) as synthesizer:
         result = synthesizer.synthesize()
-    engine_stats = checker.checker.stats
-    blast_cache = checker.checker._blast_cache
+    engine_stats = checker.stats
+    blast_cache = checker._blast_cache
     summary = {
         "design": params["design"],
         "verdict_digest": result.verdict_digest(),
@@ -286,7 +291,7 @@ def _run_synth(params: Dict, ctx: WorkerContext):
         },
         "store": {
             "blast_hits": getattr(blast_cache, "store_hits", 0),
-            "verdict_hits": getattr(checker.cache, "store_hits", 0),
+            "verdict_hits": verdicts.store_hits,
         },
     }
     artifact = format_model(result.model).encode("utf-8")

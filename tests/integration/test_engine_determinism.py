@@ -15,7 +15,7 @@ import pytest
 
 from repro.core import Rtl2Uspec
 from repro.designs import load_unicore, unicore_metadata
-from repro.formal import PropertyChecker, VerdictJournal
+from repro.formal import PropertyChecker, VerdictStore
 from repro.uspec import format_model
 
 CANDIDATES = ["ir_de", "gpr", "dstore.cells"]
@@ -31,13 +31,13 @@ JOURNAL_SHA256 = \
 
 def synthesize(tmp_path, jobs):
     journal_path = tmp_path / f"j{jobs}.jsonl"
-    journal = VerdictJournal(str(journal_path))
+    journal = VerdictStore(str(journal_path), resume=False)
     checker = PropertyChecker(bound=10, max_k=1)
     try:
         synthesizer = Rtl2Uspec(
             load_unicore(), load_unicore(formal=True), unicore_metadata(),
             checker=checker, formal_cores=1, candidate_filter=CANDIDATES,
-            jobs=jobs, journal=journal)
+            jobs=jobs, verdicts=journal)
         result = synthesizer.synthesize()
     finally:
         journal.close()
@@ -96,9 +96,9 @@ class TestEngineParity:
     def test_repeat_checks_hit_the_blast_cache(self, runs):
         """Each SVA grafts its own monitor netlist, so a cold single
         pass blasts every problem exactly once (misses == checks and
-        zero hits).  Re-checking any problem — the scheduler-retry /
-        trace-rerun path the shared cache exists for — must skip
-        straight to unrolling."""
+        zero hits).  Re-checking any problem — the scheduler-retry path
+        the shared cache exists for — must skip straight to
+        unrolling."""
         _, _, checker = runs[1]
         assert checker.stats["checks"] > 0
         # Check a problem twice through the same checker: the second

@@ -3,8 +3,8 @@
 Injected worker crashes (real ``os._exit`` deaths under ``jobs>1``),
 hangs, and garbage verdicts may change the wall clock and the fault
 statistics — never the synthesized model.  And an interrupted run must
-resume from its verdict journal without re-executing a single
-journaled SVA, again byte-identically.
+resume from its verdict store file without re-executing a single
+recorded SVA, again byte-identically.
 
 Runs on the scoped unicore (same scope as the parallel-determinism
 suite) to keep repeated synthesis fast.
@@ -19,7 +19,7 @@ from repro.formal import (
     FaultPlan,
     FaultyPropertyChecker,
     PropertyChecker,
-    VerdictJournal,
+    VerdictStore,
 )
 from repro.uspec import format_model
 
@@ -31,15 +31,15 @@ TRANSIENT = FaultPlan(crashes=frozenset({0}), hangs=frozenset({4}),
                       garbage=frozenset({2}))
 
 
-def synthesizer(checker, jobs=1, journal=None):
+def synthesizer(checker, jobs=1, verdicts=None):
     return Rtl2Uspec(
         load_unicore(), load_unicore(formal=True), unicore_metadata(),
         checker=checker, formal_cores=1, candidate_filter=CANDIDATES,
-        jobs=jobs, journal=journal)
+        jobs=jobs, verdicts=verdicts)
 
 
-def synthesize(checker, jobs=1, journal=None):
-    with synthesizer(checker, jobs=jobs, journal=journal) as synth:
+def synthesize(checker, jobs=1, verdicts=None):
+    with synthesizer(checker, jobs=jobs, verdicts=verdicts) as synth:
         return synth.synthesize()
 
 
@@ -103,27 +103,27 @@ class TestInterruptAndResume:
                          hard_crashes=False, attempts=99)
         crashing = FaultyPropertyChecker(PropertyChecker(bound=10, max_k=1),
                                          plan)
-        journal = VerdictJournal(path)
-        with synthesizer(crashing, journal=journal) as synth:
+        journal = VerdictStore(path, resume=False)
+        with synthesizer(crashing, verdicts=journal) as synth:
             with pytest.raises(WorkerCrashError):
                 synth.synthesize()
         journal.close()
 
-        checkpointed = len(VerdictJournal(path, resume=True))
+        checkpointed = len(VerdictStore(path))
         assert 1 <= checkpointed < total
 
         # Run 2: resume with a healthy checker. Every journaled SVA is
         # replayed, zero of them re-executed, and the model matches the
         # uninterrupted run byte for byte.
         healthy = PropertyChecker(bound=10, max_k=1)
-        resumed = VerdictJournal(path, resume=True)
-        with synthesizer(healthy, journal=resumed) as synth:
+        resumed = VerdictStore(path)
+        with synthesizer(healthy, verdicts=resumed) as synth:
             result = synth.synthesize()
         resumed.close()
 
         assert format_model(result.model).encode("utf-8") == golden_bytes
         stats = result.discharge_stats
-        assert stats.journal_hits == checkpointed
+        assert stats.cache_hits == checkpointed
         assert healthy.stats["checks"] == total - checkpointed
         # The finished journal now holds the complete verdict set.
-        assert len(VerdictJournal(path, resume=True)) == total
+        assert len(VerdictStore(path)) == total

@@ -125,22 +125,22 @@ class TestStoreByteBudget:
         assert store.budget_refusals == 0
 
     def test_cache_write_through_degrades_not_fails(self, tmp_path):
+        from repro.formal import VerdictStore
         from repro.formal.engine import Verdict
-        from repro.service.caches import PersistentVerdictCache
 
         store = ArtifactStore(str(tmp_path / "store"), byte_budget=1)
-        cache = PersistentVerdictCache(store)
+        cache = VerdictStore(artifacts=store)
         fingerprint = hashlib.sha256(b"problem").hexdigest()
-        # The write-through is refused (ENOSPC) but store() must not
+        # The write-through is refused (ENOSPC) but record() must not
         # raise: the in-memory tier keeps the verdict and the job
         # completes — only cross-process reuse is lost.
-        cache.store(fingerprint, Verdict(
+        cache.record(fingerprint, Verdict(
             status="PROVEN", method="bmc", bound=10, time_seconds=0.1))
         assert cache.store_write_errors == 1
         verdict = cache.lookup(fingerprint)
         assert verdict is not None and verdict.proven
         # A second session sees a plain miss, not an error.
-        fresh = PersistentVerdictCache(store)
+        fresh = VerdictStore(artifacts=store)
         assert fresh.lookup(fingerprint) is None
 
     def test_worker_context_survives_budget_exhaustion(self, tmp_path):

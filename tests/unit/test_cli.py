@@ -135,7 +135,7 @@ def test_check_report_json(capsys, reference_model, tmp_path):
 def test_warm_synth_cache_reruns_no_refutation(capsys, tmp_path):
     """A warm ``synth --cache`` serves cached refutations as they are:
     neither the report nor the .uarch reads a counterexample trace."""
-    cache = str(tmp_path / "verdicts.json")
+    cache = str(tmp_path / "verdicts.jsonl")
     argv = ["synth", "--bound", "4", "--max-k", "1", "--candidates",
             "core_gen[0].core.inst_DX,the_mem.mem", "--cache", cache]
     assert main(argv + ["-o", str(tmp_path / "cold.uarch")]) == 0
@@ -143,9 +143,50 @@ def test_warm_synth_cache_reruns_no_refutation(capsys, tmp_path):
     assert " refuted" in cold and " 0 refuted" not in cold
     assert main(argv + ["-o", str(tmp_path / "warm.uarch")]) == 0
     warm = capsys.readouterr().out
-    assert "0 misses, 0 trace re-runs" in warm
+    assert "0 misses" in warm
     assert (tmp_path / "warm.uarch").read_bytes() == \
         (tmp_path / "cold.uarch").read_bytes()
+
+
+def test_interrupted_synth_resumes_from_its_cache(capsys, tmp_path,
+                                                  monkeypatch):
+    """The ``--cache`` file is the checkpoint: an interrupted synth
+    exits 130 with the command to re-run, and re-running it serves the
+    batches decided before the interrupt from the file."""
+    import shlex
+
+    from repro.formal import VerdictStore
+    from repro.formal.scheduler import DischargeScheduler
+
+    cache = str(tmp_path / "verdicts.jsonl")
+    scope = ["synth", "--jobs", "1", "--bound", "4", "--max-k", "1",
+             "--candidates", "core_gen[0].core.inst_DX,the_mem.mem"]
+    argv = scope + ["--cache", cache, "-o", str(tmp_path / "resumed.uarch")]
+    run_pool = DischargeScheduler._run_pool
+    batches = []
+
+    def interrupt_second_batch(self, batch, to_run, *args):
+        batches.append(len(to_run))
+        if len(batches) == 2:
+            raise KeyboardInterrupt
+        return run_pool(self, batch, to_run, *args)
+
+    monkeypatch.setattr(DischargeScheduler, "_run_pool",
+                        interrupt_second_batch)
+    assert main(argv) == 130
+    err = capsys.readouterr().err
+    assert f"resume with: rtl2uspec {shlex.join(argv)}" in err
+    with VerdictStore(cache) as kept:
+        assert len(kept) == batches[0] > 0
+
+    monkeypatch.setattr(DischargeScheduler, "_run_pool", run_pool)
+    assert main(argv) == 0
+    resumed = capsys.readouterr().out
+    hits = int(resumed.rsplit("verdict cache: ", 1)[1].split(" hits")[0])
+    assert hits >= batches[0]
+    assert main(scope + ["-o", str(tmp_path / "uninterrupted.uarch")]) == 0
+    assert (tmp_path / "resumed.uarch").read_bytes() == \
+        (tmp_path / "uninterrupted.uarch").read_bytes()
 
 
 class TestGenerateCli:

@@ -1,12 +1,11 @@
-"""Verdict-cache tests: fingerprint stability and hit/miss behaviour."""
+"""Verdict-store tests: fingerprint stability and hit/miss behaviour."""
 
 import pytest
 
 from repro.formal import (
-    CachingPropertyChecker,
     PropertyChecker,
     SafetyProblem,
-    VerdictCache,
+    VerdictStore,
     problem_fingerprint,
 )
 from repro.verilog import compile_verilog
@@ -27,6 +26,16 @@ endmodule
 @pytest.fixture()
 def netlist():
     return compile_verilog(SRC, "counter")
+
+
+def check(store, checker, problem):
+    """The scheduler's plan-time probe, then a record on a miss."""
+    fingerprint = problem_fingerprint(problem, checker.bound, checker.max_k)
+    verdict = store.lookup(fingerprint)
+    if verdict is None:
+        verdict = checker.check(problem)
+        store.record(fingerprint, verdict)
+    return verdict
 
 
 class TestFingerprint:
@@ -54,46 +63,32 @@ class TestFingerprint:
 
 class TestCachingChecker:
     def test_hit_returns_same_verdict(self, netlist, tmp_path):
-        cache = VerdictCache(str(tmp_path / "cache.json"))
-        checker = CachingPropertyChecker(PropertyChecker(bound=12, max_k=2), cache)
+        cache = VerdictStore(str(tmp_path / "cache.jsonl"))
+        checker = PropertyChecker(bound=12, max_k=2)
         p = SafetyProblem(netlist, [], ["ok"], name="p")
-        first = checker.check(p)
+        first = check(cache, checker, p)
         assert cache.misses == 1 and cache.hits == 0
-        second = checker.check(p)
+        second = check(cache, checker, p)
         assert cache.hits == 1
         assert second.status == first.status
 
     def test_cache_persists_to_disk(self, netlist, tmp_path):
-        path = str(tmp_path / "cache.json")
-        cache = VerdictCache(path)
-        checker = CachingPropertyChecker(PropertyChecker(bound=12, max_k=2), cache)
-        verdict = checker.check(SafetyProblem(netlist, [], ["ok"]))
-        cache.save()
-        reloaded = VerdictCache(path)
+        path = str(tmp_path / "cache.jsonl")
+        cache = VerdictStore(path)
+        verdict = check(cache, PropertyChecker(bound=12, max_k=2),
+                        SafetyProblem(netlist, [], ["ok"]))
+        cache.close()
+        reloaded = VerdictStore(path)
         assert len(reloaded) == 1
-        checker2 = CachingPropertyChecker(PropertyChecker(bound=12, max_k=2), reloaded)
-        again = checker2.check(SafetyProblem(netlist, [], ["ok"]))
+        again = check(reloaded, PropertyChecker(bound=12, max_k=2),
+                      SafetyProblem(netlist, [], ["ok"]))
         assert again.status == verdict.status
         assert reloaded.hits == 1
 
-    def test_refuted_rerun_when_trace_needed(self, netlist, tmp_path):
-        cache = VerdictCache(str(tmp_path / "cache.json"))
-        plain = CachingPropertyChecker(PropertyChecker(bound=14, max_k=1), cache)
-        refuted = plain.check(SafetyProblem(netlist, [], ["bad"]))
-        assert refuted.refuted and refuted.trace is not None
-        # Cached path: no trace...
-        cached = plain.check(SafetyProblem(netlist, [], ["bad"]))
-        assert cached.refuted and cached.trace is None
-        # ...unless traces are required.
-        tracing = CachingPropertyChecker(PropertyChecker(bound=14, max_k=1),
-                                         cache, need_traces=True)
-        traced = tracing.check(SafetyProblem(netlist, [], ["bad"]))
-        assert traced.trace is not None
-
     def test_corrupt_cache_file_ignored(self, tmp_path):
-        path = tmp_path / "cache.json"
+        path = tmp_path / "cache.jsonl"
         path.write_text("{not json")
-        cache = VerdictCache(str(path))
+        cache = VerdictStore(str(path))
         assert len(cache) == 0
 
 
@@ -122,60 +117,38 @@ class TestCrossProcessDeterminism:
 
 class TestAtomicSave:
     def test_corrupted_cache_round_trip(self, netlist, tmp_path):
-        """A garbage file loads as empty, and save() replaces it with
-        valid JSON that round-trips."""
-        path = tmp_path / "cache.json"
+        """A garbage file loads as empty, and the store replaces it with
+        a valid file that round-trips."""
+        path = tmp_path / "cache.jsonl"
         path.write_text("{truncated-by-a-crash")
-        cache = VerdictCache(str(path))
+        cache = VerdictStore(str(path))
         assert len(cache) == 0
-        checker = CachingPropertyChecker(PropertyChecker(bound=12, max_k=2), cache)
-        checker.check(SafetyProblem(netlist, [], ["ok"], name="p"))
-        cache.save()
-        reloaded = VerdictCache(str(path))
+        check(cache, PropertyChecker(bound=12, max_k=2),
+              SafetyProblem(netlist, [], ["ok"], name="p"))
+        cache.close()
+        reloaded = VerdictStore(str(path))
         assert len(reloaded) == 1
         assert not list(path.parent.glob("*.tmp")), "temp file left behind"
 
     def test_failed_save_preserves_previous_file(self, netlist, tmp_path):
-        """save() goes through a temp file + os.replace, so an error
-        mid-serialization can never truncate the existing cache."""
-        path = tmp_path / "cache.json"
-        cache = VerdictCache(str(path))
-        checker = CachingPropertyChecker(PropertyChecker(bound=12, max_k=2), cache)
-        checker.check(SafetyProblem(netlist, [], ["ok"], name="p"))
-        cache.save()
+        """The file is append-only: an error mid-serialization can never
+        truncate what an earlier commit wrote."""
+        path = tmp_path / "cache.jsonl"
+        cache = VerdictStore(str(path))
+        check(cache, PropertyChecker(bound=12, max_k=2),
+              SafetyProblem(netlist, [], ["ok"], name="p"))
+        cache.commit()
         good = path.read_text()
-        cache._entries["poison"] = {"status": {1, 2, 3}}  # not JSON-serializable
+        cache._file.record_entry("poison", {"status": {1, 2, 3}})
         with pytest.raises(TypeError):
-            cache.save()
+            cache.commit()
         assert path.read_text() == good
         assert not list(path.parent.glob("*.tmp")), "temp file left behind"
 
     def test_save_creates_parent_directory(self, netlist, tmp_path):
-        path = tmp_path / "deep" / "nested" / "cache.json"
-        cache = VerdictCache(str(path))
-        cache.save()
+        path = tmp_path / "deep" / "nested" / "cache.jsonl"
+        VerdictStore(str(path)).close()
         assert path.exists()
-
-
-class TestTraceRerunAccounting:
-    def test_trace_reruns_surfaced_in_stats(self, netlist, tmp_path):
-        cache = VerdictCache(str(tmp_path / "cache.json"))
-        seeding = CachingPropertyChecker(PropertyChecker(bound=14, max_k=1), cache)
-        seeding.check(SafetyProblem(netlist, [], ["bad"]))
-        assert cache.trace_reruns == 0
-
-        tracing = CachingPropertyChecker(PropertyChecker(bound=14, max_k=1),
-                                         cache, need_traces=True)
-        traced = tracing.check(SafetyProblem(netlist, [], ["bad"]))
-        assert traced.trace is not None
-        assert cache.trace_reruns == 1
-        stats = cache.stats()
-        assert stats["trace_reruns"] == 1
-        assert stats["hits"] == 1  # the lookup still counted as a hit
-        # proven problems are served from cache without a re-run
-        tracing.check(SafetyProblem(netlist, [], ["ok"]))
-        tracing.check(SafetyProblem(netlist, [], ["ok"]))
-        assert cache.trace_reruns == 1
 
 
 class TestFingerprintCanonicalization:
@@ -202,31 +175,30 @@ class TestFingerprintCanonicalization:
 
 
 class TestChecksumQuarantine:
-    """Corruption is quarantined (renamed aside), never raised and never
+    """Corruption is quarantined (moved aside), never raised and never
     silently served."""
 
     def _saved_cache(self, netlist, tmp_path):
-        path = tmp_path / "cache.json"
-        cache = VerdictCache(str(path))
-        checker = CachingPropertyChecker(PropertyChecker(bound=12, max_k=2), cache)
-        checker.check(SafetyProblem(netlist, [], ["ok"], name="p"))
-        cache.save()
+        path = tmp_path / "cache.jsonl"
+        with VerdictStore(str(path)) as cache:
+            check(cache, PropertyChecker(bound=12, max_k=2),
+                  SafetyProblem(netlist, [], ["ok"], name="p"))
         return path
 
     def test_garbage_file_is_quarantined(self, tmp_path):
-        path = tmp_path / "cache.json"
+        path = tmp_path / "cache.jsonl"
         path.write_text("{definitely not json")
-        cache = VerdictCache(str(path))
+        cache = VerdictStore(str(path))
         assert len(cache) == 0
-        assert cache.quarantined == str(path) + ".corrupt"
-        assert not path.exists()
-        assert (tmp_path / "cache.json.corrupt").read_text().startswith("{definitely")
+        assert cache.quarantined == str(path) + ".quarantine"
+        assert (tmp_path / "cache.jsonl.quarantine").read_text() \
+            .startswith("{definitely")
 
     def test_truncated_file_is_quarantined(self, netlist, tmp_path):
         path = self._saved_cache(netlist, tmp_path)
         raw = path.read_text()
         path.write_text(raw[: len(raw) // 2])  # torn mid-write by a crash
-        cache = VerdictCache(str(path))
+        cache = VerdictStore(str(path))
         assert len(cache) == 0
         assert cache.quarantined is not None
 
@@ -234,44 +206,20 @@ class TestChecksumQuarantine:
         import json
 
         path = self._saved_cache(netlist, tmp_path)
-        data = json.loads(path.read_text())
-        fingerprint = next(iter(data["entries"]))
-        data["entries"][fingerprint]["status"] = "PROVEN_FOREVER"  # bit rot
-        path.write_text(json.dumps(data))
-        cache = VerdictCache(str(path))
+        header, line = path.read_text().splitlines()
+        record = json.loads(line)
+        record["entry"]["status"] = "PROVEN_FOREVER"  # bit rot
+        path.write_text(header + "\n" + json.dumps(record) + "\n")
+        cache = VerdictStore(str(path))
         assert len(cache) == 0, "tampered entries must not be served"
         assert cache.quarantined is not None
 
     def test_intact_v2_file_loads_without_quarantine(self, netlist, tmp_path):
         path = self._saved_cache(netlist, tmp_path)
-        cache = VerdictCache(str(path))
+        cache = VerdictStore(str(path))
         assert len(cache) == 1
         assert cache.quarantined is None
         assert path.exists()
-
-    def test_legacy_v1_bare_dict_still_loads(self, tmp_path):
-        import json
-
-        path = tmp_path / "cache.json"
-        path.write_text(json.dumps({
-            "abc123": {"status": "PROVEN", "method": "k-induction",
-                       "bound": 10, "time_seconds": 0.1,
-                       "induction_k": 1, "name": "old"},
-        }))
-        cache = VerdictCache(str(path))
-        assert len(cache) == 1
-        assert cache.quarantined is None
-        assert cache.lookup("abc123").proven
-
-    def test_quarantine_never_raises(self, tmp_path):
-        # Every corruption shape: wrong root type, non-dict entries,
-        # binary garbage. None may raise.
-        shapes = ['[1, 2, 3]', '{"a": 5}', '\x00\xff binary', '']
-        for index, shape in enumerate(shapes):
-            path = tmp_path / f"c{index}.json"
-            path.write_text(shape)
-            cache = VerdictCache(str(path))
-            assert len(cache) == 0
 
 
 class TestBudgetVerdictsNeverPersist:
@@ -282,31 +230,33 @@ class TestBudgetVerdictsNeverPersist:
     def test_save_filters_unknown_entries(self, tmp_path):
         from repro.formal.engine import UNKNOWN, Verdict
 
-        path = str(tmp_path / "cache.json")
-        cache = VerdictCache(path)
-        cache.store("f" * 64, Verdict(
+        path = str(tmp_path / "cache.jsonl")
+        cache = VerdictStore(path)
+        cache.record("f" * 64, Verdict(
             status=UNKNOWN, method="bmc", bound=10, time_seconds=0.1,
             reason="timeout"))
-        cache.store("a" * 64, Verdict(
+        cache.record("a" * 64, Verdict(
             status="PROVEN", method="bmc", bound=10, time_seconds=0.1))
         assert cache.lookup("f" * 64) is not None  # same-run hit is fine
-        cache.save()
-        reloaded = VerdictCache(path)
+        cache.close()
+        reloaded = VerdictStore(path)
         assert reloaded.quarantined is None  # checksum covers the filtered set
         assert reloaded.lookup("a" * 64) is not None
         assert reloaded.lookup("f" * 64) is None
 
     def test_pre_fix_file_with_unknown_entry_filtered_on_load(self, tmp_path):
-        import json
+        from repro.formal.cache import _VerdictFile
 
-        path = tmp_path / "cache.json"
-        path.write_text(json.dumps({
-            "f" * 64: {"status": "UNKNOWN", "method": "bmc", "bound": 10,
-                       "time_seconds": 0.1, "reason": "timeout"},
-            "a" * 64: {"status": "PROVEN", "method": "bmc", "bound": 10,
-                       "time_seconds": 0.1},
-        }))
-        cache = VerdictCache(str(path))
+        path = str(tmp_path / "cache.jsonl")
+        # Older verdict journals recorded UNKNOWN like any verdict.
+        with _VerdictFile(path) as older:
+            older.record_entry("f" * 64, {
+                "status": "UNKNOWN", "method": "bmc", "bound": 10,
+                "time_seconds": 0.1, "reason": "timeout"})
+            older.record_entry("a" * 64, {
+                "status": "PROVEN", "method": "bmc", "bound": 10,
+                "time_seconds": 0.1})
+        cache = VerdictStore(path)
         assert cache.quarantined is None
         assert cache.lookup("a" * 64) is not None
         assert cache.lookup("f" * 64) is None

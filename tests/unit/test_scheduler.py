@@ -10,12 +10,7 @@ outputs.  The class is module-level so it pickles into pool workers.
 import pytest
 
 from repro.core.obligations import ObligationGraph, SvaObligation
-from repro.formal import (
-    CachingPropertyChecker,
-    PropertyChecker,
-    SafetyProblem,
-    VerdictCache,
-)
+from repro.formal import PropertyChecker, SafetyProblem, VerdictStore
 from repro.formal.scheduler import DischargeScheduler
 from repro.verilog import compile_verilog
 
@@ -53,11 +48,9 @@ def factory():
     return TinyFactory(compile_verilog(SRC, "counter"))
 
 
-def make_scheduler(factory, jobs=1, cache=None, need_traces=False):
-    checker = PropertyChecker(bound=12, max_k=2)
-    if cache is not None:
-        checker = CachingPropertyChecker(checker, cache, need_traces=need_traces)
-    return DischargeScheduler(checker, factory, jobs=jobs)
+def make_scheduler(factory, jobs=1, verdicts=None):
+    return DischargeScheduler(PropertyChecker(bound=12, max_k=2), factory,
+                              jobs=jobs, verdicts=verdicts)
 
 
 class TestSerialDischarge:
@@ -111,35 +104,21 @@ class TestSerialDischarge:
 
 class TestCacheIntegration:
     def test_plan_time_probe_serves_hits(self, factory, tmp_path):
-        cache = VerdictCache(str(tmp_path / "cache.json"))
+        cache = VerdictStore(str(tmp_path / "cache.jsonl"))
         graph = ObligationGraph()
         graph.add(assert_wire("ok"))
-        first = make_scheduler(factory, cache=cache)
+        first = make_scheduler(factory, verdicts=cache)
         first.discharge(graph)
         assert first.stats.cache_misses == 1 and first.stats.cache_hits == 0
 
         graph2 = ObligationGraph()
         graph2.add(assert_wire("ok"))
-        second = make_scheduler(factory, cache=cache)
+        second = make_scheduler(factory, verdicts=cache)
         results = second.discharge(graph2)
         assert second.stats.cache_hits == 1 and second.stats.cache_misses == 0
         assert results[0][1].proven
         # a cache hit never touches the SAT engine
         assert second._engine.stats["checks"] == 0
-
-    def test_trace_rerun_for_cached_refutation(self, factory, tmp_path):
-        cache = VerdictCache(str(tmp_path / "cache.json"))
-        graph = ObligationGraph()
-        graph.add(assert_wire("bad"))
-        make_scheduler(factory, cache=cache).discharge(graph)
-
-        graph2 = ObligationGraph()
-        graph2.add(assert_wire("bad"))
-        rerun = make_scheduler(factory, cache=cache, need_traces=True)
-        results = rerun.discharge(graph2)
-        assert rerun.stats.trace_reruns == 1
-        assert cache.trace_reruns == 1
-        assert results[0][1].trace is not None
 
 
 class TestParallelDischarge:
@@ -174,7 +153,7 @@ class TestParallelDischarge:
 # change verdicts, only statistics.
 # ----------------------------------------------------------------------
 from repro.errors import DischargeTimeout, FormalError, WorkerCrashError  # noqa: E402
-from repro.formal import FaultPlan, FaultyPropertyChecker, VerdictJournal  # noqa: E402
+from repro.formal import FaultPlan, FaultyPropertyChecker  # noqa: E402
 
 
 def faulty_scheduler(factory, plan, jobs=1, **kwargs):
@@ -290,15 +269,15 @@ class TestJournalIntegration:
     def test_resume_serves_verdicts_without_reexecution(self, factory,
                                                         tmp_path):
         path = str(tmp_path / "journal.jsonl")
-        with VerdictJournal(path) as journal:
+        with VerdictStore(path, resume=False) as journal:
             first = DischargeScheduler(PropertyChecker(bound=12, max_k=2),
-                                       factory, journal=journal)
+                                       factory, verdicts=journal)
             first.discharge(two_wire_graph())
-        resumed = VerdictJournal(path, resume=True)
+        resumed = VerdictStore(path)
         second = DischargeScheduler(PropertyChecker(bound=12, max_k=2),
-                                    factory, journal=resumed)
+                                    factory, verdicts=resumed)
         results = second.discharge(two_wire_graph())
-        assert second.stats.journal_hits == 2
+        assert second.stats.cache_hits == 2
         assert second.stats.pool_tasks == 0
         assert second._engine.stats["checks"] == 0
         assert {ob.signature: v.status for ob, v in results} == {
@@ -310,13 +289,31 @@ class TestJournalIntegration:
         graph = ObligationGraph()
         graph.add(assert_wire("ok"))
         graph.add(assert_wire("stuck", after=(("missing",),)))
-        with VerdictJournal(path) as journal:
+        with VerdictStore(path, resume=False) as journal:
             scheduler = DischargeScheduler(
-                PropertyChecker(bound=12, max_k=2), factory, journal=journal)
+                PropertyChecker(bound=12, max_k=2), factory, verdicts=journal)
             with pytest.raises(FormalError):
                 scheduler.discharge(graph)
         # The verdict decided before the deadlock was checkpointed.
-        assert len(VerdictJournal(path, resume=True)) == 1
+        assert len(VerdictStore(path)) == 1
+
+    def test_mid_batch_interrupt_keeps_decided_verdicts(self, factory,
+                                                        tmp_path):
+        """Verdicts are recorded as the pool finalizes them, so an
+        interrupt inside a batch keeps the ones decided before it."""
+        path = str(tmp_path / "journal.jsonl")
+        graph = ObligationGraph()
+        for wire in ("ok", "bad", "$t1"):  # one batch, three problems
+            graph.add(assert_wire(wire))
+        with VerdictStore(path, resume=False) as journal:
+            scheduler = faulty_scheduler(
+                factory, FaultPlan(interrupts=frozenset({2})),
+                verdicts=journal)
+            with pytest.raises(KeyboardInterrupt):
+                scheduler.discharge(graph)
+        assert scheduler.stats.batches == 1
+        assert scheduler._engine.stats["checks"] == 2
+        assert len(VerdictStore(path)) == 2
 
 
 class TestDeadlockRobustness:

@@ -326,6 +326,25 @@ class TestGenerateJob:
         assert payload["digest"] == corpus_digest(fps)
 
 
+class TestSynthJob:
+    def test_warm_job_reruns_no_refutation(self, tmp_path):
+        """The warm worker's verdict store serves every verdict of a
+        repeated synth job, refutations included: the job reads no
+        counterexample trace, so nothing is re-checked for one."""
+        from repro.service.jobs import WorkerContext, execute_job
+        params = validate_params("synth", {
+            "candidates": ["core_gen[0].core.inst_DX", "the_mem.mem"],
+            "bound": 4})
+        ctx = WorkerContext(str(tmp_path / "store"))
+        cold, cold_model, _ = execute_job("synth", params, ctx)
+        warm, warm_model, _ = execute_job("synth", params, ctx)
+        ctx.close()
+        assert cold["engine"]["checks"] > 0
+        assert warm["engine"]["checks"] == cold["engine"]["checks"]
+        assert warm["verdict_digest"] == cold["verdict_digest"]
+        assert warm_model == cold_model
+
+
 class TestClientWait:
     """`wait`/`wait_all` must key off the monotonic clock: an NTP step
     or DST change in `time.time` must neither expire a wait early nor

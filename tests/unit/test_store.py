@@ -9,11 +9,9 @@ import pytest
 
 from repro.errors import StoreError
 from repro.service import ArtifactStore
-from repro.service.caches import (
-    PersistentBlastCache,
-    PersistentVerdictCache,
-    blast_store_key,
-)
+from repro.formal import VerdictStore
+from repro.formal.cache import VERDICT_NAMESPACE
+from repro.service.caches import PersistentBlastCache, blast_store_key
 
 KEY_A = hashlib.sha256(b"a").hexdigest()
 KEY_B = hashlib.sha256(b"b").hexdigest()
@@ -184,38 +182,38 @@ class TestPersistentCaches:
         root = str(tmp_path / "store")
         fingerprint = hashlib.sha256(b"problem").hexdigest()
         with ArtifactStore(root) as store:
-            cache = PersistentVerdictCache(store)
+            cache = VerdictStore(artifacts=store)
             assert cache.lookup(fingerprint) is None
-            cache.store(fingerprint, Verdict(
+            cache.record(fingerprint, Verdict(
                 status="PROVEN", method="bmc", bound=10, time_seconds=0.1))
         with ArtifactStore(root) as store:
-            cache = PersistentVerdictCache(store)
+            cache = VerdictStore(artifacts=store)
             verdict = cache.lookup(fingerprint)
         assert verdict is not None and verdict.proven
         assert cache.store_hits == 1 and cache.hits == 1
 
     def test_unknown_verdict_never_persisted(self, tmp_path):
         from repro.formal.engine import UNKNOWN, Verdict
-        from repro.service.caches import VERDICT_NAMESPACE
 
         root = str(tmp_path / "store")
         fingerprint = hashlib.sha256(b"problem").hexdigest()
         store = ArtifactStore(root)
-        cache = PersistentVerdictCache(store)
-        cache.store(fingerprint, Verdict(
+        cache = VerdictStore(artifacts=store)
+        cache.record(fingerprint, Verdict(
             status=UNKNOWN, method="bmc", bound=10, time_seconds=0.1,
             reason="timeout"))
-        # Neither tier serves it: the fingerprint excludes the job's
-        # budget, so a later job with a larger budget must recompute
-        # rather than inherit this job's exhaustion.
-        assert cache.lookup(fingerprint) is None
+        # Only this session's memory holds it (the scheduler, which
+        # feeds the warm workers' stores, never records one): the
+        # fingerprint excludes the job's budget, so a later job with a
+        # larger budget must recompute rather than inherit this job's
+        # exhaustion.
+        assert cache.lookup(fingerprint).unknown
         assert store.get_json(VERDICT_NAMESPACE, fingerprint) is None
-        fresh = PersistentVerdictCache(store)
+        fresh = VerdictStore(artifacts=store)
         assert fresh.lookup(fingerprint) is None
 
     def test_poisoned_unknown_entry_is_a_miss_and_heals(self, tmp_path):
         from repro.formal.engine import UNKNOWN, Verdict
-        from repro.service.caches import VERDICT_NAMESPACE
 
         root = str(tmp_path / "store")
         fingerprint = hashlib.sha256(b"problem").hexdigest()
@@ -224,19 +222,17 @@ class TestPersistentCaches:
         store.put_json(VERDICT_NAMESPACE, fingerprint, {
             "status": UNKNOWN, "method": "bmc", "bound": 10,
             "time_seconds": 0.1})
-        cache = PersistentVerdictCache(store)
+        cache = VerdictStore(artifacts=store)
         assert cache.lookup(fingerprint) is None
         assert cache.misses == 1 and cache.store_hits == 0
         # ...and the decided recompute overwrites (heals) the entry.
-        cache.store(fingerprint, Verdict(
+        cache.record(fingerprint, Verdict(
             status="PROVEN", method="bmc", bound=10, time_seconds=0.1))
-        fresh = PersistentVerdictCache(store)
+        fresh = VerdictStore(artifacts=store)
         verdict = fresh.lookup(fingerprint)
         assert verdict is not None and verdict.proven
 
     def test_corrupt_verdict_entry_recomputes(self, tmp_path):
-        from repro.service.caches import VERDICT_NAMESPACE
-
         root = str(tmp_path / "store")
         fingerprint = hashlib.sha256(b"problem").hexdigest()
         store = ArtifactStore(root)
@@ -246,7 +242,7 @@ class TestPersistentCaches:
         raw[-3] ^= 0x10
         with open(path, "wb") as handle:
             handle.write(raw)
-        cache = PersistentVerdictCache(store)
+        cache = VerdictStore(artifacts=store)
         assert cache.lookup(fingerprint) is None  # quarantined, miss
         assert store.corrupt == 1
 

@@ -9,8 +9,8 @@ end against a real daemon:
    both jobs, and the final check report digest is identical to a
    one-shot ``repro check`` of the same model;
 4. recycle the (idle) worker and submit a second synth job: its
-   summary must report persistent-store blast hits — cross-process
-   reuse from the content-addressed store.
+   summary must report persistent-store verdict hits and no check —
+   cross-process reuse from the content-addressed store.
 
 Usage: ``serve_smoke.py [state-dir] [oneshot-report.json]``
 (run with PYTHONPATH=src or the package installed).
@@ -112,13 +112,17 @@ def main():
     if result2["state"] != "done":
         sys.exit(f"{synth2} finished {result2['state']!r}")
     store = result2["result"]["store"]
-    if store["blast_hits"] <= 0:
-        sys.exit(f"no persistent-store blast reuse: {store}")
+    checks = result2["result"]["engine"]["checks"]
+    if store["verdict_hits"] <= 0 or checks:
+        # Every verdict must come from the store; stored refutations
+        # are not re-checked for a trace.
+        sys.exit(f"second synth did not start warm from the store: "
+                 f"{store}, {checks} check(s)")
     if result2["result"]["verdict_digest"] != \
             synth_result["result"]["verdict_digest"]:
         sys.exit("synth verdict digests diverged across store reuse")
-    log(f"second synth reused the store: blast_hits={store['blast_hits']} "
-        f"verdict_hits={store['verdict_hits']}")
+    log(f"second synth reused the store: verdict_hits="
+        f"{store['verdict_hits']}, 0 checks")
 
     client.shutdown()
     proc.wait(timeout=120)
