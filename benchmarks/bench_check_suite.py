@@ -1,32 +1,27 @@
-"""Check-layer scaling benchmark: fresh -> incremental -> parallel.
+"""Check-layer benchmark: the litmus suite and the sweep at jobs 1 and N.
 
-Runs the exhaustive small-program sweep (and the 56-test litmus suite)
-through both check engines:
+Times the 56-test litmus suite and the exhaustive small-program sweep,
+each at ``--jobs 1`` and ``--jobs N``.
 
-* ``fresh``                — fresh ground+encode+solve per condition,
-  one process (the baseline every speedup is relative to);
-* ``incremental``          — one retained solver per program, conditions
-  decided as assumption flips, one ``solve_batch`` pass per program;
-* ``incremental_parallel`` — the incremental engine across ``--jobs``
-  worker processes.
+Each workload has one decision path: a suite test is decided by
+``solve_observability`` (fresh ground+encode+solve), a sweep program by
+``ProgramSolver`` (one retained solver per program, its conditions
+decided in one ``solve_batch`` pass).  The job counts must produce the
+identical report (asserted); timings land in ``BENCH_check.json``.
 
-The suite trajectory also carries an ``auto`` row (the shipped check
-default, which resolves to the measured-faster fresh engine for
-single-condition tests).
-
-Every stage must produce the identical report (asserted); timings and
-speedups land in ``BENCH_check.json``.  The record's ``before`` section
-(earlier runs, nested: the last one that still timed the unbatched
-``incremental-seq`` engine and the per-clause-object SAT core, and
-inside it the run frozen before the SCC-local acyclicity encoding,
-including the 41.9 s all-pairs seed sweep) is carried over unchanged
-when the file is rewritten.
+When the record's schema changes, the previous record is nested whole
+under ``before``; otherwise its ``before`` is carried over unchanged.
+The nested records keep the frozen A/B rows: the fresh-versus-
+incremental stages of both workloads, the unbatched ``incremental-seq``
+engine, the per-clause-object SAT core and the 41.9 s all-pairs seed
+sweep from before the SCC-local acyclicity encoding.
 
 With ``--serve STATE_DIR`` the same workloads run against an already
 running ``repro serve`` fleet instead of in-process: ``bench`` jobs
 time warm-versus-cold suite/synth passes and a sharded sweep is raced
-against the unsharded one (byte-identical digests asserted).  The
-fleet's ``store.blast_hits`` and shard counts land in the record's
+against the unsharded one (byte-identical digests asserted).  The warm
+synth job's ``store.verdict_hits`` and ``engine.checks`` (0 when every
+verdict came from the store) and the shard counts land in the record's
 ``serve`` section.
 
 Standalone (not a pytest-benchmark module)::
@@ -46,22 +41,24 @@ import platform
 import sys
 import time
 
+#: schema of the in-process record written to ``--output``
+SCHEMA = "repro-bench-check/6"
+
 
 def _sweep_signature(report):
     return (report.programs, report.outcomes_checked,
             tuple(report.unsound), tuple(report.overstrict))
 
 
-def run_sweep_stage(model, name, limit, jobs, engine):
+def run_sweep_stage(model, name, limit, jobs):
     from repro.check import verify_exactness
 
     start = time.perf_counter()
-    report = verify_exactness(model, limit=limit, jobs=jobs, engine=engine)
+    report = verify_exactness(model, limit=limit, jobs=jobs)
     elapsed = time.perf_counter() - start
     print(f"  {name:<22} {elapsed:8.2f}s  {report.summary()}")
     return {
         "name": name,
-        "engine": engine,
         "jobs": jobs,
         "seconds": round(elapsed, 3),
         "programs": report.programs,
@@ -70,20 +67,17 @@ def run_sweep_stage(model, name, limit, jobs, engine):
     }, _sweep_signature(report)
 
 
-def run_suite_stage(model, tests, name, jobs, engine):
+def run_suite_stage(model, tests, name, jobs):
     from repro.check import Checker, suite_digest
 
     start = time.perf_counter()
-    checker = Checker(model, engine=engine)
-    verdicts = checker.check_suite(tests, jobs=jobs)
+    verdicts = Checker(model).check_suite(tests, jobs=jobs)
     elapsed = time.perf_counter() - start
     failures = sum(0 if v.passed else 1 for v in verdicts)
     print(f"  {name:<22} {elapsed:8.2f}s  "
           f"{len(verdicts)} tests, {failures} failures")
     return {
         "name": name,
-        "engine": engine,
-        "engine_used": checker.engine_used,
         "jobs": jobs,
         "seconds": round(elapsed, 3),
         "tests": len(verdicts),
@@ -113,8 +107,8 @@ def run_serve_mode(args, limit):
     """Benchmark an already-running ``repro serve`` fleet.
 
     Returns the ``serve`` section for the record: warm/cold bench
-    timings, the sharded-versus-unsharded sweep race, and the fleet's
-    ``store.blast_hits`` counters.
+    timings, the sharded-versus-unsharded sweep race, and the warm
+    synth job's verdict-store hits and engine checks.
     """
     from repro.service import ServiceClient, default_socket_path
 
@@ -160,8 +154,9 @@ def run_serve_mode(args, limit):
             "times_ms": synth_payload["times_ms"],
             "cold_ms": bench_synth["result"]["cold_ms"],
             "warm_ms": bench_synth["result"]["warm_ms"],
-            "store_blast_hits": synth_payload["store"].get(
-                "blast_hits", 0),
+            "store_verdict_hits": synth_payload["store"].get(
+                "verdict_hits", 0),
+            "engine_checks": synth_payload["engine"].get("checks", 0),
         },
         "sweep": {
             "limit": sweep_limit,
@@ -228,47 +223,32 @@ def main(argv=None):
     model = load_reference_model()
     tests = load_suite()
 
+    jobs_plan = [1] if parallel_skipped else [1, args.jobs]
     print(f"litmus suite ({len(tests)} tests):")
-    suite_stages = [
-        run_suite_stage(model, tests, "fresh", 1, "fresh"),
-        run_suite_stage(model, tests, "incremental", 1, "incremental"),
-        run_suite_stage(model, tests, "auto", 1, "auto"),
-    ]
-    if parallel_skipped is None:
-        suite_stages.append(
-            run_suite_stage(model, tests, "parallel", args.jobs, "fresh"))
+    suite_stages = [run_suite_stage(model, tests, f"suite_jobs{jobs}", jobs)
+                    for jobs in jobs_plan]
     digests = {stage["digest"] for stage in suite_stages}
     assert len(digests) == 1, f"suite verdicts diverged: {digests}"
 
     scope = f"limit={limit}" if limit else "all canonical 2x2 programs"
     print(f"exhaustive sweep ({scope}):")
-    sweep_plan = [
-        ("fresh", 1, "fresh"),
-        ("incremental", 1, "incremental"),
-    ]
-    if parallel_skipped is None:
-        sweep_plan.append(
-            ("incremental_parallel", args.jobs, "incremental"))
     sweep_stages = []
     signatures = set()
-    for name, jobs, engine in sweep_plan:
-        stage, signature = run_sweep_stage(model, name, limit, jobs, engine)
+    for jobs in jobs_plan:
+        stage, signature = run_sweep_stage(model, f"sweep_jobs{jobs}",
+                                           limit, jobs)
         sweep_stages.append(stage)
         signatures.add(signature)
-    assert len(signatures) == 1, "sweep reports diverged across stages"
-
-    baseline = sweep_stages[0]["seconds"]
-    for stage in sweep_stages:
-        stage["speedup_vs_fresh"] = round(baseline / stage["seconds"], 2) \
-            if stage["seconds"] else None
-    best = max(stage["speedup_vs_fresh"] for stage in sweep_stages[1:])
+    assert len(signatures) == 1, "sweep reports diverged across job counts"
 
     before = None
     if os.path.exists(args.output):
         with open(args.output, "r", encoding="utf-8") as handle:
-            before = json.load(handle).get("before")
+            previous = json.load(handle)
+        before = previous.get("before") \
+            if previous.get("schema") == SCHEMA else previous
     record = {
-        "schema": "repro-bench-check/5",
+        "schema": SCHEMA,
         "scope": scope,
         "cpu_count": cpus,
         "parallel_skipped": parallel_skipped,
@@ -276,15 +256,15 @@ def main(argv=None):
         "python": platform.python_version(),
         "suite": suite_stages,
         "sweep": sweep_stages,
-        "best_sweep_speedup_vs_fresh": best,
         "before": before,
     }
     with open(args.output, "w", encoding="utf-8") as handle:
         json.dump(record, handle, indent=2, sort_keys=True)
         handle.write("\n")
-    print(f"\nbest sweep speedup vs fresh: {best:.2f}x "
-          f"(target >= 2x) — record in {args.output}")
-    return 0 if best >= 2.0 else 1
+    print(f"\nsuite {suite_stages[0]['seconds']}s, sweep "
+          f"{sweep_stages[0]['seconds']}s at jobs 1 — record in "
+          f"{args.output}")
+    return 0
 
 
 if __name__ == "__main__":

@@ -1,12 +1,10 @@
 """Check-style µhb verification of µspec models against litmus tests."""
 
 from .exhaustive import (
-    SWEEP_ENGINES,
     ExactnessReport,
     enumerate_programs,
     enumerate_sweep_programs,
     normalize_limit,
-    resolve_sweep_engine,
     verify_exactness,
 )
 from .incremental import ProgramSolver, SymbolicContext
@@ -27,12 +25,11 @@ from .solver import (
     solve_observability,
 )
 from .verifier import (
-    ENGINES,
     Checker,
     TestVerdict,
     format_suite_report,
-    resolve_suite_engine,
     suite_digest,
+    suite_report_from_entries,
     suite_report_json,
     suite_sat_profile,
 )
@@ -63,11 +60,8 @@ __all__ = [
     "test_fingerprint",
     "format_suite_report",
     "suite_digest",
+    "suite_report_from_entries",
     "suite_report_json",
     "suite_sat_profile",
     "render_ascii",
-    "ENGINES",
-    "SWEEP_ENGINES",
-    "resolve_suite_engine",
-    "resolve_sweep_engine",
 ]

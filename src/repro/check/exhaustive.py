@@ -12,10 +12,11 @@ statement than a 56-test suite: it shows the synthesized model is both
 sound (forbidden outcomes unobservable) and precise (allowed outcomes
 observable) for every small program.
 
-The sweep is where the incremental engine pays off: each program has
-one CNF but dozens of final conditions, so ``engine="incremental"``
+Each program has one CNF but dozens of final conditions, so the sweep
 grounds once per program and decides each condition as an assumption
-flip (:class:`repro.check.incremental.ProgramSolver`).  ``jobs=N``
+flip (:class:`repro.check.incremental.ProgramSolver`); a condition
+outside the symbolic encoding's value domain falls back to the suite's
+per-test :func:`repro.check.solver.solve_observability`.  ``jobs=N``
 distributes whole programs over the shared resilience pool; results
 are merged in enumeration order, so the report is identical for any
 job count (and under injected worker crashes/hangs).
@@ -36,12 +37,11 @@ import json
 from dataclasses import dataclass, field
 from typing import Iterator, List, Optional, Sequence, Tuple
 
-from ..errors import CheckError
 from ..litmus import LitmusTest
 from ..mcm import sc_outcomes
 from ..mcm.events import Access, Program, R, W
 from ..resilience import Budget
-from .solver import solve_observability
+from .incremental import ProgramSolver
 
 #: one program's sweep outcome: (checked, unsound, overstrict, undecided)
 ProgramResult = Tuple[int, List[Tuple[str, Tuple]], List[Tuple[str, Tuple]],
@@ -91,7 +91,7 @@ class ExactnessReport:
 
     def digest(self) -> str:
         """SHA-256 over the deterministic projection of the sweep:
-        identical across job counts, engines, injected faults, and
+        identical across job counts, injected faults, and
         interrupt/resume (timings and resume counters excluded)."""
         canonical = json.dumps({
             "programs": self.programs,
@@ -171,43 +171,28 @@ def _program_conditions(program: Program,
     return [condition for condition in conditions if condition]
 
 
-#: engines verify_exactness accepts; ``auto`` resolves per workload
-SWEEP_ENGINES = ("auto", "fresh", "incremental")
-
-
-def resolve_sweep_engine(engine: str) -> str:
-    """``auto`` → ``incremental`` for the sweep: one CNF per program
-    amortized over dozens of conditions is the measured-fastest path
-    (1.3 s vs fresh 8.6 s on the 230-program sweep, 2-vCPU x86-64 VM,
-    Python 3.11; the suite's auto resolves differently — see
-    :func:`repro.check.verifier.resolve_suite_engine`)."""
-    return "incremental" if engine == "auto" else engine
-
-
 def _check_program(model, program: Program,
-                   include_final_memory: bool, engine: str,
+                   include_final_memory: bool,
                    budget: Optional[Budget] = None) -> ProgramResult:
     """Sweep every condition of one program; returns
     (outcomes_checked, unsound, overstrict, undecided).  The budget is
     per *condition*; an expired solve lands in ``undecided`` rather
     than claiming soundness or strictness either way."""
-    engine = resolve_sweep_engine(engine)
     reference = sc_outcomes(program)
     conditions = _program_conditions(program, include_final_memory)
     checked = 0
     unsound: List[Tuple[str, Tuple]] = []
     overstrict: List[Tuple[str, Tuple]] = []
     undecided: List[Tuple[str, Tuple]] = []
-    instance = None
-    if engine == "incremental" and conditions:
-        from .incremental import ProgramSolver
-        instance = ProgramSolver(
-            model, LitmusTest("sweep", program, conditions[0]))
+    if not conditions:
+        return checked, unsound, overstrict, undecided
+    instance = ProgramSolver(
+        model, LitmusTest("sweep", program, conditions[0]))
     # One solve_batch call decides every condition sharing the common
     # assumption prefix; budgeted runs need a per-condition clock, so
     # they stay sequential.
     batch = None
-    if instance is not None and budget is None:
+    if budget is None:
         batch = instance.decide_batch(conditions)
     for index, condition in enumerate(conditions):
         test = LitmusTest("sweep", program, condition)
@@ -215,11 +200,7 @@ def _check_program(model, program: Program,
         if batch is not None:
             result = batch[index]
         else:
-            clock = budget.start() if budget else None
-            if instance is not None:
-                result = instance.decide(condition, clock=clock)
-            else:
-                result = solve_observability(model, test, clock=clock)
+            result = instance.decide(condition, clock=budget.start())
         checked += 1
         if not result.decided:
             undecided.append((test.format(), condition))
@@ -282,7 +263,6 @@ def verify_exactness(model, max_threads: int = 2, max_len: int = 2,
                      include_final_memory: bool = True,
                      limit: Optional[int] = None,
                      jobs: int = 1,
-                     engine: str = "incremental",
                      budget: Optional[Budget] = None,
                      fault_plan=None,
                      journal_path: Optional[str] = None,
@@ -291,11 +271,8 @@ def verify_exactness(model, max_threads: int = 2, max_len: int = 2,
                      ) -> ExactnessReport:
     """Sweep all bounded programs/outcomes; compare the model against SC.
 
-    ``limit`` bounds the number of programs (for incremental runs; 0 or
-    ``None`` means unlimited — see :func:`normalize_limit`).  ``engine``
-    picks the per-program decision procedure (``incremental``
-    amortizes grounding across a program's conditions; ``fresh`` is the
-    seed's one-solve-per-condition path — verdict-identical).  ``jobs``
+    ``limit`` bounds the number of programs (0 or ``None`` means
+    unlimited — see :func:`normalize_limit`).  ``jobs``
     distributes programs over worker processes; the report is identical
     for any job count.  ``budget`` bounds each condition's solve
     (expiries land in ``report.undecided``); ``journal_path``/``resume``
@@ -304,13 +281,10 @@ def verify_exactness(model, max_threads: int = 2, max_len: int = 2,
     built-in shape enumeration with an explicit program list (e.g. a
     generated-corpus chunk); ``limit`` still caps the prefix swept.
     """
-    if engine not in SWEEP_ENGINES:
-        raise CheckError(f"unknown check engine {engine!r} "
-                         f"(expected one of {SWEEP_ENGINES})")
     from .runner import run_sweep
     return run_sweep(model, max_threads=max_threads, max_len=max_len,
                      addresses=addresses,
                      include_final_memory=include_final_memory,
-                     limit=limit, jobs=jobs, engine=engine, budget=budget,
+                     limit=limit, jobs=jobs, budget=budget,
                      fault_plan=fault_plan, journal_path=journal_path,
                      resume=resume, programs=programs)

@@ -1,10 +1,12 @@
 """Incremental observability: ground a program once, decide many
 final conditions as assumption flips on one retained SAT solver.
 
-The exhaustive sweep (``repro sweep``) enumerates thousands of final
-conditions per bounded program; the seed re-ground + re-encoded + fresh
-solved every one of them.  :class:`ProgramSolver` instead grounds the
-µspec model *symbolically*: every load's observed value and every
+The exhaustive sweep (``repro sweep``) decides dozens of final
+conditions per bounded program, and this module is how it decides
+them.  Re-grounding and fresh-solving each condition (what
+:func:`repro.check.solver.solve_observability` does for a single
+litmus test) repeats the same grounding work every time;
+:class:`ProgramSolver` instead grounds the µspec model *symbolically*: every load's observed value and every
 final-memory constraint becomes a CNF *selector variable*, and the
 data-dependent predicates (``SameData``, ``DataFromInitial``,
 ``IsFinalValue``) ground to literals over those selectors instead of
@@ -45,7 +47,6 @@ from .solver import (
     _add_order_constraints,
     _final_write_options,
     _memory_location,
-    extract_witness,
     solve_observability,
 )
 
@@ -145,9 +146,11 @@ class ProgramSolver:
     ``decide(condition)`` returns the same verdict
     :func:`repro.check.solver.solve_observability` would for a
     :class:`LitmusTest` with that final condition — pinned by the
-    engine-equivalence tests — but amortizes grounding, the order
+    decider cross-check tests — but amortizes grounding, the order
     encoding, and the solver's learned clauses across all conditions of
-    the program.
+    the program.  It draws no witness graph: only ``check
+    --show-graph`` needs one, and the suite is decided by
+    ``solve_observability``.
     """
 
     def __init__(self, model: U.Model, test: LitmusTest):
@@ -260,7 +263,7 @@ class ProgramSolver:
                            for (addr, value), var in self.ctx.mem_sel.items())
         return self._SOLVE, assumptions
 
-    def decide(self, condition: Condition, keep_graph: bool = False,
+    def decide(self, condition: Condition,
                clock: Optional[BudgetClock] = None) -> ObservabilityResult:
         """Observability of one final condition (assumption flip).
 
@@ -271,12 +274,12 @@ class ProgramSolver:
         self.decides += 1
         condition = tuple(condition)
         if clock is not None and clock.expired():
-            return self._result(False, None, start, status=TIMEOUT)
+            return self._result(False, start, status=TIMEOUT)
         kind, assumptions = self._plan(condition)
         if kind is self._FALLBACK:
             return self._fresh_fallback(condition, clock)
         if kind is self._UNSAT:
-            return self._result(False, None, start)
+            return self._result(False, start)
         solve_start = time.perf_counter()
         status = self.solver.solve(
             assumptions=assumptions,
@@ -284,20 +287,14 @@ class ProgramSolver:
         solve_seconds = time.perf_counter() - solve_start
         self.stats.solve_seconds += solve_seconds
         if status not in (SAT, UNSAT):
-            return self._result(False, None, start,
+            return self._result(False, start,
                                 solve_seconds=solve_seconds,
                                 status=clock.degraded_status())
-        if status != SAT:
-            return self._result(False, None, start,
-                                solve_seconds=solve_seconds)
-        graph = None
-        if keep_graph:
-            graph = extract_witness(self.model, self.evaluator, self.ctx,
-                                    self.solver)
-        return self._result(True, graph, start, solve_seconds=solve_seconds)
+        return self._result(status == SAT, start,
+                            solve_seconds=solve_seconds)
 
-    def decide_batch(self, conditions: Iterable[Condition],
-                     keep_graph: bool = False) -> List[ObservabilityResult]:
+    def decide_batch(self, conditions: Iterable[Condition]
+                     ) -> List[ObservabilityResult]:
         """Decide many final conditions in one batched solver pass.
 
         Verdict-identical to calling :meth:`decide` per condition
@@ -324,47 +321,30 @@ class ProgramSolver:
             elif kind is self._FALLBACK:
                 results[i] = self._fresh_fallback(condition)
             else:
-                results[i] = self._result(False, None, start)
+                results[i] = self._result(False, start)
         if not assumption_sets:
             return results
-        solver = self.solver
-        shared0 = solver.batch_shared_levels
-        total0 = solver.batch_assumption_levels
         last = [time.perf_counter()]
 
         def on_result(j: int, status: str) -> None:
-            # Fires while the solver still holds condition j's model
-            # (the next batched solve would clobber it), so witness
-            # extraction must happen here.
             now = time.perf_counter()
             solve_seconds = now - last[0]
             last[0] = now
             self.stats.solve_seconds += solve_seconds
             i = batch_indices[j]
-            if status == SAT:
-                graph = None
-                if keep_graph:
-                    graph = extract_witness(self.model, self.evaluator,
-                                            self.ctx, solver)
-                results[i] = self._result(True, graph, now - solve_seconds,
-                                          solve_seconds=solve_seconds)
-            elif status == UNSAT:
-                results[i] = self._result(False, None, now - solve_seconds,
+            if status in (SAT, UNSAT):
+                results[i] = self._result(status == SAT, now - solve_seconds,
                                           solve_seconds=solve_seconds)
             else:  # pragma: no cover - no budget is threaded through
-                results[i] = self._result(False, None, now - solve_seconds,
+                results[i] = self._result(False, now - solve_seconds,
                                           solve_seconds=solve_seconds,
                                           status=_UNDECIDED)
 
-        solver.solve_batch(assumption_sets, on_result=on_result)
-        self.stats.batch_shared_levels += \
-            solver.batch_shared_levels - shared0
-        self.stats.batch_assumption_levels += \
-            solver.batch_assumption_levels - total0
+        self.solver.solve_batch(assumption_sets, on_result=on_result)
         return results
 
     # ------------------------------------------------------------------
-    def _result(self, observable: bool, graph, start: float,
+    def _result(self, observable: bool, start: float,
                 solve_seconds: float = 0.0,
                 status: str = DECIDED) -> ObservabilityResult:
         stats = SolveStats(
@@ -377,6 +357,6 @@ class ProgramSolver:
             if self.decides == 1 else 0.0,
             solve_seconds=solve_seconds,
         )
-        return ObservabilityResult(observable, graph, 1,
+        return ObservabilityResult(observable, None, 1,
                                    time.perf_counter() - start, stats=stats,
                                    status=status)

@@ -21,9 +21,15 @@ the shared resilience machinery so one call gives:
   fault-free run (the fault-tolerance integration tests pin this with
   digest parity).
 
+Each workload has one decision path: a suite test is decided by
+:func:`repro.check.solver.solve_observability` (via
+:class:`repro.check.verifier.Checker`), a sweep program by
+:class:`repro.check.incremental.ProgramSolver` (via
+:func:`repro.check.exhaustive._check_program`).
+
 The determinism invariant the whole layer maintains: job counts,
-engines, injected faults, and interrupt/resume may change wall-clock
-time and recovery statistics — never verdicts or report digests.
+injected faults, and interrupt/resume may change wall-clock time and
+recovery statistics — never verdicts or report digests.
 """
 
 from __future__ import annotations
@@ -31,7 +37,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable, List, Optional, Sequence
 
-from ..errors import InterruptedRun
+from ..errors import CheckError, InterruptedRun
 from ..litmus import LitmusTest
 from ..mcm.events import Program
 from ..resilience import Budget, FaultPlan, PoolStats, run_tasks, worker_state
@@ -67,8 +73,6 @@ class SuiteRunResult:
     quarantined_records: int = 0
     #: where the dropped journal bytes were moved (None if clean)
     quarantined_path: Optional[str] = None
-    #: the engine that actually ran (``auto`` resolved by the Checker)
-    engine_used: str = ""
 
 
 def run_suite(model: Model, tests: Iterable[LitmusTest], *,
@@ -83,12 +87,19 @@ def run_suite(model: Model, tests: Iterable[LitmusTest], *,
     Raises :class:`InterruptedRun` (partial verdicts attached, journal
     committed) if interrupted; any other error propagates after the
     journal is closed (committed).
+
+    ``engine`` names the suite's only decider and accepts nothing but
+    ``"fresh"``: the ``serve_check`` oracle in ``perfbench/workloads.py``
+    still passes ``engine="fresh"``, so the keyword stays until that
+    benchmark is next changed.
     """
+    if engine != "fresh":
+        raise CheckError(f"unknown check engine {engine!r}: litmus tests "
+                         f"are decided only by solve_observability "
+                         f"('fresh')")
     tests = list(tests)
-    checker = Checker(model, keep_graphs=keep_graphs, engine=engine,
-                      budget=budget)
-    result = SuiteRunResult(verdicts=[], journal_path=journal_path,
-                            engine_used=checker.engine_used)
+    checker = Checker(model, keep_graphs=keep_graphs, budget=budget)
+    result = SuiteRunResult(verdicts=[], journal_path=journal_path)
     journal = None
     fingerprints: List[str] = []
     verdicts: List[Optional[TestVerdict]] = [None] * len(tests)
@@ -140,7 +151,7 @@ def _sweep_one_worker(payload) -> ProgramResult:
     state = worker_state()
     program, include_final_memory = payload
     return _check_program(state["model"], program, include_final_memory,
-                          state["engine"], budget=state.get("budget"))
+                          budget=state.get("budget"))
 
 
 def _valid_program_result(result) -> bool:
@@ -153,7 +164,7 @@ def run_sweep(model: Model, *, max_threads: int = 2, max_len: int = 2,
               addresses: Sequence[str] = ("x", "y"),
               include_final_memory: bool = True,
               limit: Optional[int] = None,
-              jobs: int = 1, engine: str = "incremental",
+              jobs: int = 1,
               budget: Optional[Budget] = None,
               journal_path: Optional[str] = None,
               resume: bool = False,
@@ -165,7 +176,7 @@ def run_sweep(model: Model, *, max_threads: int = 2, max_len: int = 2,
 
     Raises :class:`InterruptedRun` (partial report attached, journal
     committed) if interrupted.  The returned report's :meth:`digest`
-    is identical across job counts, engines, faults, and resume.
+    is identical across job counts, faults, and resume.
 
     ``programs`` substitutes an explicit program list (e.g. a generated
     corpus chunk) for the built-in shape enumeration; journal keys are
@@ -215,9 +226,9 @@ def run_sweep(model: Model, *, max_threads: int = 2, max_len: int = 2,
             [(programs[index], include_final_memory) for index in pending],
             _sweep_one_worker,
             lambda payload: _check_program(model, payload[0], payload[1],
-                                           engine, budget=budget),
+                                           budget=budget),
             jobs,
-            state={"model": model, "engine": engine, "budget": budget},
+            state={"model": model, "budget": budget},
             fault_plan=fault_plan,
             validate=_valid_program_result,
             on_result=on_result,

@@ -70,10 +70,7 @@ class SolveStats:
     """Per-instance encoding/solving statistics (surfaced in reports).
 
     The ``sat_*`` counters and ``arena_bytes`` are cumulative CDCL-core
-    totals feeding ``--profile-sat``; ``batch_shared_levels`` /
-    ``batch_assumption_levels`` measure how much assumption-prefix
-    propagation :meth:`ProgramSolver.decide_batch` reused (their ratio
-    is the prefix-share ratio in profile reports).  ``order_components``
+    totals feeding ``--profile-sat``.  ``order_components``
     counts the cyclic SCCs (two or more nodes) the acyclicity encoding
     covered; 0 means the candidate-edge graph is already a DAG.
     """
@@ -88,8 +85,6 @@ class SolveStats:
     sat_decisions: int = 0
     sat_reductions: int = 0
     arena_bytes: int = 0
-    batch_shared_levels: int = 0
-    batch_assumption_levels: int = 0
 
     @property
     def ground_ms(self) -> float:
@@ -109,8 +104,6 @@ class SolveStats:
         bytes_now = solver.arena_bytes()
         if bytes_now > self.arena_bytes:
             self.arena_bytes = bytes_now
-        self.batch_shared_levels += solver.batch_shared_levels
-        self.batch_assumption_levels += solver.batch_assumption_levels
 
 
 @dataclass
@@ -281,7 +274,7 @@ def solve_observability(model: U.Model, test: LitmusTest,
     budget hit degrades to a first-class undecided result
     (``status=TIMEOUT/UNKNOWN``, ``observable=False``) rather than
     raising.  Pass an already-running ``clock`` instead to share one
-    deadline across several calls (the incremental engine's fallback).
+    deadline across several calls (``ProgramSolver``'s fallback).
     """
     start = time.perf_counter()
     if clock is None and budget:

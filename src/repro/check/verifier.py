@@ -15,11 +15,13 @@ the verdict then carries status ``TIMEOUT`` or ``UNKNOWN`` and is
 consumed *conservatively* — it is never a PASS, never journaled, and
 "ALL TESTS PASS" requires every test decided.
 
-Two interchangeable solving engines (verdict-identical, pinned by the
-engine-equivalence tests): ``fresh`` grounds and solves each test from
-scratch; ``incremental`` grounds the program once and decides the final
-condition as an assumption flip (:mod:`repro.check.incremental`).
-``check_suite(tests, jobs=N)`` fans tests out through the shared
+Each test decides one final condition, so the suite is decided by
+:func:`repro.check.solver.solve_observability`, which grounds and
+solves each test from scratch.  (The exhaustive sweep, which decides
+dozens of conditions per program, uses
+:class:`repro.check.incremental.ProgramSolver` instead — see
+:mod:`repro.check.exhaustive`.)  ``check_suite(tests, jobs=N)`` fans
+tests out through the shared
 resilience pool (:mod:`repro.resilience.pool`) with deterministic,
 input-ordered results that survive worker crashes and hangs.
 """
@@ -44,16 +46,13 @@ from ..resilience import (
 from ..uspec import Model
 from .solver import ObservabilityResult, UhbGraph, solve_observability
 
-ENGINES = ("auto", "fresh", "incremental")
+#: schema of the ``--report-json`` suite report and the service's
+#: check artifact
+SUITE_REPORT_SCHEMA = "repro-check-suite/5"
 
-
-def resolve_suite_engine(engine: str) -> str:
-    """``auto`` → ``fresh`` for the litmus suite: each test decides a
-    single condition, so the incremental engine's symbolic grounding is
-    pure overhead here (measured 0.30 s vs fresh 0.21 s on the 56-test
-    suite, warm process, 2-vCPU x86-64 VM, Python 3.11; the sweep's
-    auto resolves the other way)."""
-    return "fresh" if engine == "auto" else engine
+#: the deterministic per-test fields the suite digest covers
+_PROJECTION_KEYS = ("name", "status", "observable", "permitted_sc",
+                    "passed", "overstrict")
 
 
 @dataclass
@@ -70,14 +69,12 @@ class TestVerdict:
     solve_ms: float = 0.0
     #: DECIDED, or TIMEOUT/UNKNOWN when the check's budget expired
     status: str = DECIDED
-    # --profile-sat counters (zero unless the engine reported them)
+    # --profile-sat counters (zero when no SAT search ran)
     sat_propagations: int = 0
     sat_conflicts: int = 0
     sat_decisions: int = 0
     sat_reductions: int = 0
     arena_bytes: int = 0
-    batch_shared_levels: int = 0
-    batch_assumption_levels: int = 0
 
     @property
     def decided(self) -> bool:
@@ -115,7 +112,6 @@ def _check_one_worker(test: LitmusTest) -> TestVerdict:
     if checker is None:
         checker = Checker(state["model"],
                           keep_graphs=state["keep_graphs"],
-                          engine=state["engine"],
                           budget=state.get("budget"))
         state["checker"] = checker
     return checker.check_test(test)
@@ -125,30 +121,14 @@ class Checker:
     """Verifies litmus tests against one synthesized µspec model."""
 
     def __init__(self, model: Model, keep_graphs: bool = False,
-                 engine: str = "fresh", budget: Optional[Budget] = None):
-        if engine not in ENGINES:
-            from ..errors import CheckError
-            raise CheckError(f"unknown check engine {engine!r} "
-                             f"(expected one of {ENGINES})")
+                 budget: Optional[Budget] = None):
         self.model = model
         self.keep_graphs = keep_graphs
-        self.engine = engine
-        #: what actually runs (``auto`` resolved); recorded in reports
-        self.engine_used = resolve_suite_engine(engine)
         self.budget = budget
 
     def check_outcome(self, test: LitmusTest) -> ObservabilityResult:
         """Raw observability of the test's final condition."""
         clock = self.budget.start() if self.budget else None
-        if self.engine_used == "incremental":
-            from .incremental import ProgramSolver
-            instance = ProgramSolver(self.model, test)
-            result = instance.decide(test.final,
-                                     keep_graph=self.keep_graphs,
-                                     clock=clock)
-            if instance.solver is not None:
-                instance.stats.absorb_solver(instance.solver)
-            return result
         return solve_observability(self.model, test, clock=clock)
 
     def check_test(self, test: LitmusTest) -> TestVerdict:
@@ -174,8 +154,6 @@ class Checker:
             sat_decisions=stats.sat_decisions,
             sat_reductions=stats.sat_reductions,
             arena_bytes=stats.arena_bytes,
-            batch_shared_levels=stats.batch_shared_levels,
-            batch_assumption_levels=stats.batch_assumption_levels,
         )
 
     def check_suite(self, tests: Iterable[LitmusTest],
@@ -197,7 +175,6 @@ class Checker:
         return run_tasks(
             tests, _check_one_worker, self.check_test, jobs,
             state={"model": self.model, "keep_graphs": self.keep_graphs,
-                   "engine": self.engine,
                    "budget": self.budget},
             fault_plan=fault_plan,
             validate=lambda verdict: isinstance(verdict, TestVerdict),
@@ -246,83 +223,85 @@ def format_suite_report(verdicts: List[TestVerdict],
 # Machine-readable report + determinism digest
 # ----------------------------------------------------------------------
 def _verdict_projection(verdicts: Sequence[TestVerdict]) -> List[Dict]:
-    """The deterministic (timing-free, engine-independent) view of a
-    suite run: what must be byte-identical across job counts, solver
-    modes, injected faults, and interrupt/resume."""
-    return [
-        {
-            "name": v.name,
-            "status": v.status,
-            "observable": v.observable,
-            "permitted_sc": v.permitted_sc,
-            "passed": v.passed,
-            "overstrict": v.overstrict,
-        }
-        for v in verdicts
-    ]
+    """The deterministic (timing-free) view of a suite run: what must
+    be byte-identical across job counts, injected faults, and
+    interrupt/resume."""
+    return [{key: getattr(v, key) for key in _PROJECTION_KEYS}
+            for v in verdicts]
 
 
-def suite_digest(verdicts: Sequence[TestVerdict]) -> str:
-    """SHA-256 over the deterministic verdict projection."""
-    canonical = json.dumps(_verdict_projection(verdicts), sort_keys=True,
+def _projection_digest(projection: Sequence[Dict]) -> str:
+    canonical = json.dumps(list(projection), sort_keys=True,
                            separators=(",", ":"))
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
 
+def suite_digest(verdicts: Sequence[TestVerdict]) -> str:
+    """SHA-256 over the deterministic verdict projection."""
+    return _projection_digest(_verdict_projection(verdicts))
+
+
 def suite_sat_profile(verdicts: Sequence[TestVerdict]) -> Dict:
     """Aggregate the per-test SAT counters (``--profile-sat``)."""
-    profile = {
+    return {
         "sat_propagations": sum(v.sat_propagations for v in verdicts),
         "sat_conflicts": sum(v.sat_conflicts for v in verdicts),
         "sat_decisions": sum(v.sat_decisions for v in verdicts),
         "sat_reductions": sum(v.sat_reductions for v in verdicts),
         "arena_bytes": max((v.arena_bytes for v in verdicts), default=0),
-        "batch_shared_levels": sum(v.batch_shared_levels for v in verdicts),
-        "batch_assumption_levels": sum(v.batch_assumption_levels
-                                       for v in verdicts),
     }
-    total = profile["batch_assumption_levels"]
-    profile["batch_prefix_share"] = round(
-        profile["batch_shared_levels"] / total, 4) if total else 0.0
-    return profile
+
+
+def suite_report_from_entries(entries: Sequence[Dict],
+                              model: str = "") -> Dict:
+    """The deterministic suite report built from per-test entries.
+
+    Each entry is a verdict projection plus a ``stats`` dict.  The
+    digest, failure and undecided counts are recomputed from the
+    entries alone, so the service's shard merge (which holds entries,
+    not live verdicts) builds the same bytes as a single-worker run.
+    """
+    return {
+        "schema": SUITE_REPORT_SCHEMA,
+        "model": model,
+        "digest": _projection_digest(
+            [{key: entry[key] for key in _PROJECTION_KEYS}
+             for entry in entries]),
+        "failures": sum(1 for entry in entries
+                        if entry["status"] == DECIDED
+                        and entry["observable"]
+                        and not entry["permitted_sc"]),
+        "undecided": sum(1 for entry in entries
+                         if entry["status"] != DECIDED),
+        "tests": list(entries),
+    }
 
 
 def suite_report_json(verdicts: Sequence[TestVerdict], model: str = "",
-                      engine: str = "", jobs: int = 1,
+                      jobs: int = 1,
                       deterministic: bool = False,
                       quarantined_records: int = 0,
-                      engine_used: str = "",
                       profile_sat: bool = False) -> Dict:
     """The ``--report-json`` artifact: verdicts + per-test stats.
 
     ``digest`` covers only the verdict projection, so it is identical
-    across ``--jobs`` values, solver engines, injected faults, and
-    interrupt/resume; the per-test ``stats`` (vars/clauses/timings) are
-    diagnostic and may vary by engine/run.  ``deterministic=True``
-    drops everything run-dependent (timings, the jobs count) so the
-    whole file is byte-identical across runs — the pipeline's
-    resume-equivalence guarantee.  ``engine_used`` records what an
-    ``auto`` engine resolved to; ``profile_sat`` adds the aggregated
-    SAT counters (run-dependent — suppressed in deterministic mode).
+    across ``--jobs`` values, injected faults, and interrupt/resume;
+    the per-test ``stats`` (vars/clauses/timings) are diagnostic.
+    ``deterministic=True`` drops everything run-dependent (timings, the
+    jobs count) so the whole file is byte-identical across runs — the
+    pipeline's resume-equivalence guarantee.  ``profile_sat`` adds the
+    aggregated SAT counters (run-dependent — suppressed in
+    deterministic mode).
     """
-    report = {
-        "schema": "repro-check-suite/4",
-        "model": model,
-        "engine": engine,
-        "engine_used": engine_used or engine,
-        "digest": suite_digest(verdicts),
-        "failures": sum(1 if v.failed else 0 for v in verdicts),
-        "undecided": sum(0 if v.decided else 1 for v in verdicts),
-        "tests": [
-            dict(projection,
-                 stats={
-                     "vars": v.vars,
-                     "clauses": v.clauses,
-                     "iterations": v.iterations,
-                 })
-            for projection, v in zip(_verdict_projection(verdicts), verdicts)
-        ],
-    }
+    report = suite_report_from_entries(
+        [dict(projection,
+              stats={
+                  "vars": v.vars,
+                  "clauses": v.clauses,
+                  "iterations": v.iterations,
+              })
+         for projection, v in zip(_verdict_projection(verdicts), verdicts)],
+        model)
     if not deterministic:
         report["jobs"] = jobs
         # Run-dependent resilience diagnostics: a resumed run that had

@@ -184,7 +184,7 @@ def _cmd_check(args: argparse.Namespace) -> int:
     resume_hint = (f"rtl2uspec check --journal {args.journal} --resume"
                    + (f" --model {args.model}" if args.model else ""))
     try:
-        run = run_suite(model, tests, jobs=args.jobs, engine=args.engine,
+        run = run_suite(model, tests, jobs=args.jobs,
                         keep_graphs=args.show_graph,
                         budget=_check_budget(args.timeout),
                         journal_path=args.journal or None,
@@ -204,8 +204,6 @@ def _cmd_check(args: argparse.Namespace) -> int:
               f"record(s) quarantined to {run.quarantined_path}; they "
               f"were re-executed", file=sys.stderr)
     print(format_suite_report(verdicts))
-    if args.engine == "auto":
-        print(f"engine: auto -> {run.engine_used}")
     if run.pool_stats.faults_observed():
         print(run.pool_stats.summary())
     if args.profile_sat:
@@ -216,9 +214,8 @@ def _cmd_check(args: argparse.Namespace) -> int:
     if args.report_json:
         import json
         report = suite_report_json(verdicts, model=args.model or "reference",
-                                   engine=args.engine, jobs=args.jobs,
+                                   jobs=args.jobs,
                                    quarantined_records=run.quarantined_records,
-                                   engine_used=run.engine_used,
                                    profile_sat=args.profile_sat)
         with open(args.report_json, "w", encoding="utf-8") as handle:
             json.dump(report, handle, indent=2, sort_keys=True)
@@ -230,6 +227,15 @@ def _cmd_check(args: argparse.Namespace) -> int:
             if verdict.graph is not None:
                 print(f"\n== witness µhb graph: {verdict.name} ==")
                 print(render_ascii(verdict.graph))
+            elif not verdict.decided:
+                print(f"\n== {verdict.name}: undecided ({verdict.status}, "
+                      f"budget exhausted); no graph ==")
+            elif verdict.observable:
+                # Only a verdict replayed from the journal lacks its
+                # witness: the journal stores verdicts, not graphs.
+                print(f"\n== {verdict.name}: outcome observable (verdict "
+                      f"replayed by --resume; re-run without --resume to "
+                      f"draw the graph) ==")
             else:
                 print(f"\n== {verdict.name}: outcome unobservable "
                       f"(no acyclic µhb graph exists) ==")
@@ -271,11 +277,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
 def _sweep_report_json(report, args) -> None:
     import json
 
-    from .check import resolve_sweep_engine
     payload = {
-        "schema": "repro-check-sweep/4",
-        "engine": args.engine,
-        "engine_used": resolve_sweep_engine(args.engine),
+        "schema": "repro-check-sweep/5",
         "jobs": args.jobs,
         "digest": report.digest(),
         "programs": report.programs,
@@ -328,7 +331,7 @@ def _run_generated_sweep(model, args, signal_state, resume_hint):
         first = False
         try:
             report = run_sweep(
-                model, programs=chunk, jobs=args.jobs, engine=args.engine,
+                model, programs=chunk, jobs=args.jobs,
                 budget=_check_budget(args.timeout),
                 journal_path=args.journal or None, resume=resume,
                 fault_plan=_fault_plan(args.inject_faults))
@@ -368,8 +371,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         try:
             report = verify_exactness(
                 model, max_threads=args.threads, max_len=args.length,
-                limit=args.limit,
-                jobs=args.jobs, engine=args.engine,
+                limit=args.limit, jobs=args.jobs,
                 budget=_check_budget(args.timeout),
                 journal_path=args.journal or None, resume=args.resume,
                 fault_plan=_fault_plan(args.inject_faults))
@@ -492,7 +494,7 @@ def _cmd_pipeline(args: argparse.Namespace) -> int:
     signal_state = _convert_sigterm()
     config = PipelineConfig(
         state_dir=args.state_dir, design=args.design, resume=args.resume,
-        jobs=args.jobs, engine=args.engine,
+        jobs=args.jobs,
         check_timeout=args.timeout or None,
         synth_timeout=args.synth_timeout or None,
         bound=args.bound if args.bound > 0 else None,
@@ -602,11 +604,9 @@ def _cmd_submit(args: argparse.Namespace) -> int:
             params["spec"] = args.spec
         if args.count > 0:
             params["count"] = args.count
-    if args.kind in ("synth", "check", "sweep", "bench"):
-        if args.engine:
-            params["engine"] = args.engine
-        if args.timeout > 0:
-            params["timeout"] = args.timeout
+    if args.kind in ("synth", "check", "sweep", "bench") and \
+            args.timeout > 0:
+        params["timeout"] = args.timeout
     job = client.submit(args.kind, params)
     print(f"submitted {job} ({args.kind})")
     if not args.wait:
@@ -755,15 +755,6 @@ def main(argv: Optional[List[str]] = None) -> int:
                          help="render witness µhb graphs (text Fig. 1b)")
     p_check.add_argument("-j", "--jobs", type=int, default=1,
                          help=JOBS_HELP)
-    p_check.add_argument("--engine",
-                         choices=("auto", "fresh", "incremental"),
-                         default="auto",
-                         help="solving engine: 'fresh' grounds each test "
-                              "from scratch, 'incremental' reuses one "
-                              "retained solver per program, 'auto' picks "
-                              "the measured-fastest for the workload "
-                              "(fresh for single-condition suites); "
-                              "verdict-identical either way")
     p_check.add_argument("--profile-sat", action="store_true",
                          help="aggregate per-test SAT counters into the "
                               "report (stdout + --report-json)")
@@ -847,14 +838,6 @@ def main(argv: Optional[List[str]] = None) -> int:
                          help="mismatching tests to print")
     p_sweep.add_argument("-j", "--jobs", type=int, default=1,
                          help=JOBS_HELP)
-    p_sweep.add_argument("--engine",
-                         choices=("auto", "fresh", "incremental"),
-                         default="incremental",
-                         help="per-program decision procedure: "
-                              "incremental amortizes grounding across a "
-                              "program's conditions and batches its "
-                              "solves ('auto' = incremental); "
-                              "verdict-identical")
     p_sweep.add_argument("--report-json", default="",
                          help="write the sweep report as JSON")
     _add_resilience_flags(p_sweep, "condition")
@@ -878,9 +861,6 @@ def main(argv: Optional[List[str]] = None) -> int:
                              "byte-identical to an uninterrupted run)")
     p_pipe.add_argument("-j", "--jobs", type=int, default=1,
                         help=JOBS_HELP)
-    p_pipe.add_argument("--engine", choices=("fresh", "incremental"),
-                        default="fresh",
-                        help="check-stage solving engine (verdict-identical)")
     p_pipe.add_argument("--timeout", type=float, default=0.0,
                         help="per-litmus-test wall-clock budget in seconds "
                              "(0 = unlimited)")
@@ -987,8 +967,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     p_submit.add_argument("--count", type=int, default=0,
                           help="generate: corpus item cap (0 = kind "
                                "default)")
-    p_submit.add_argument("--engine", default="",
-                          help="solver engine (kind-specific default)")
     p_submit.add_argument("--timeout", type=float, default=0.0,
                           help="per-obligation solver budget in seconds")
     p_submit.add_argument("--wait", action="store_true",

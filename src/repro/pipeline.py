@@ -55,8 +55,6 @@ class PipelineConfig:
     design: str = "multi"
     resume: bool = False
     jobs: int = 1
-    #: check-stage solving engine ("fresh" | "incremental")
-    engine: str = "fresh"
     #: per-litmus-test wall-clock budget (None = unlimited)
     check_timeout: Optional[float] = None
     #: per-SVA wall-clock budget for synthesis (None = unlimited)
@@ -311,7 +309,7 @@ class Pipeline:
         self.config.echo(f"[check] verifying {len(tests)} litmus test(s)")
         try:
             run = run_suite(model, tests, jobs=self.config.jobs,
-                            engine=self.config.engine, budget=budget,
+                            budget=budget,
                             journal_path=self.check_journal, resume=resume,
                             fault_plan=self.config.check_fault_plan)
         except KeyboardInterrupt as exc:
@@ -331,8 +329,6 @@ class Pipeline:
         # state directory's path must not leak into checkpointed bytes.
         report = suite_report_json(run.verdicts,
                                    model=os.path.basename(self.model_path),
-                                   engine=self.config.engine,
-                                   engine_used=run.engine_used,
                                    deterministic=True)
         payload = json.dumps(report, indent=2, sort_keys=True) + "\n"
         with open(self.report_path, "w", encoding="utf-8") as handle:

@@ -132,8 +132,8 @@ class BatchedSolveMixin:
     of the shared prefix.  Verdicts are identical to per-call
     ``solve(assumptions=...)`` (pinned by the fuzz suite); trajectories
     may legitimately differ.  ``batch_shared_levels`` /
-    ``batch_assumption_levels`` accumulate the prefix-share ratio for
-    ``--profile-sat``.
+    ``batch_assumption_levels`` count the reused and the total
+    assumption levels (the fuzz suite checks them).
     """
 
     def solve_batch(self, assumption_sets: Sequence[Sequence[int]],

@@ -48,14 +48,13 @@ _PARAM_DEFAULTS: Dict[str, Dict[str, object]] = {
     "parse": {"design": "multi"},
     "synth": {"design": "multi", "bound": None, "max_k": None,
               "candidates": None, "timeout": None},
-    "check": {"model_text": None, "tests": None, "engine": "fresh",
-              "timeout": None, "shards": None},
+    "check": {"model_text": None, "tests": None, "timeout": None,
+              "shards": None},
     "sweep": {"model_text": None, "threads": 2, "length": 2, "limit": None,
-              "engine": "incremental", "timeout": None, "shards": None,
-              "generate": None},
+              "timeout": None, "shards": None, "generate": None},
     "generate": {"spec": "threads=2,len=2", "count": 1000, "tests": False},
     "bench": {"workload": "check", "design": "multi", "tests": None,
-              "repeat": 2, "engine": None, "timeout": None},
+              "repeat": 2, "timeout": None},
 }
 
 
@@ -147,10 +146,6 @@ def validate_params(kind: str, params: Optional[Dict]) -> Dict:
                 not all(isinstance(name, str) for name in tests):
             raise ServiceError("check parameter 'tests' must be a list "
                                "of test names")
-    engine = normalized.get("engine")
-    if engine is not None and engine not in ("fresh", "incremental"):
-        raise ServiceError(f"unknown engine {engine!r} "
-                           f"(expected 'fresh' or 'incremental')")
     try:
         json.dumps(normalized)
     except (TypeError, ValueError):
@@ -301,7 +296,8 @@ def _run_synth(params: Dict, ctx: WorkerContext):
 def _run_check(params: Dict, ctx: WorkerContext):
     from ..check import run_suite, suite_digest, suite_report_json
     from ..litmus import load_suite, resolve_tests
-    from .shards import check_report_bytes, shard_address, shard_bounds
+    from .shards import (CHECK_REPORT_MODEL, check_report_bytes,
+                         shard_address, shard_bounds)
     model = _load_model(params["model_text"])
     tests = resolve_tests(params["tests"]) if params["tests"] \
         else load_suite()
@@ -311,11 +307,8 @@ def _run_check(params: Dict, ctx: WorkerContext):
         tests = tests[start:end]
     budget = Budget(timeout_seconds=params["timeout"]) \
         if params["timeout"] else None
-    run = run_suite(model, tests, jobs=1, engine=params["engine"],
-                    budget=budget)
-    report = suite_report_json(run.verdicts, model="submitted",
-                               engine=params["engine"],
-                               engine_used=run.engine_used,
+    run = run_suite(model, tests, jobs=1, budget=budget)
+    report = suite_report_json(run.verdicts, model=CHECK_REPORT_MODEL,
                                deterministic=True)
     if address is not None:
         # A shard ships its slice of the deterministic report; the
@@ -326,7 +319,6 @@ def _run_check(params: Dict, ctx: WorkerContext):
             "schema": CHECK_SHARD_SCHEMA,
             "shard": address[0],
             "of": address[1],
-            "engine_used": run.engine_used,
             "tests": report["tests"],
         }
         summary = {
@@ -391,8 +383,8 @@ def _run_bench(params: Dict, ctx: WorkerContext):
     the per-repeat wall times are the product.  The digests inside it
     still are, and a re-run after a crash produces the same verdicts —
     only the timings differ.  ``benchmarks/bench_check_suite.py
-    --serve`` submits these to record warm-fleet rows (store blast
-    hits, shard counts) into ``BENCH_check.json``.
+    --serve`` submits these to record warm-fleet rows (verdict-store
+    hits, engine checks, shard counts) into ``BENCH_check.json``.
     """
     import time
     repeat = params["repeat"] or 1
@@ -420,9 +412,7 @@ def _run_bench(params: Dict, ctx: WorkerContext):
         digest = ""
         for _ in range(repeat):
             started = time.perf_counter()
-            run = run_suite(model, tests, jobs=1,
-                            engine=params["engine"] or "fresh",
-                            budget=budget)
+            run = run_suite(model, tests, jobs=1, budget=budget)
             times_ms.append(round((time.perf_counter() - started) * 1e3, 3))
             digest = suite_digest(run.verdicts)
         store_counters = {"blast_hits": 0, "verdict_hits": 0}
@@ -464,8 +454,7 @@ def _run_sweep(params: Dict, ctx: WorkerContext):
         start, end = shard_bounds(len(programs), *address)
         programs = programs[start:end]
     report = verify_exactness(
-        model, limit=None, jobs=1, engine=params["engine"],
-        budget=budget, programs=programs)
+        model, limit=None, jobs=1, budget=budget, programs=programs)
     if address is not None:
         payload = {
             "schema": SWEEP_SHARD_SCHEMA,

@@ -42,11 +42,11 @@ SHARDABLE_KINDS = ("check", "sweep")
 MAX_SHARDS = 64
 
 #: shard artifact schemas (worker -> daemon, never user-facing)
-CHECK_SHARD_SCHEMA = "repro-check-shard/1"
+CHECK_SHARD_SCHEMA = "repro-check-shard/2"
 SWEEP_SHARD_SCHEMA = "repro-sweep-shard/1"
 
-_PROJECTION_KEYS = ("name", "status", "observable", "permitted_sc",
-                    "passed", "overstrict")
+#: the ``model`` label of every service check report (sharded or not)
+CHECK_REPORT_MODEL = "submitted"
 
 
 # ----------------------------------------------------------------------
@@ -186,38 +186,8 @@ def sweep_payload_bytes(payload: Dict) -> bytes:
 
 
 def check_report_bytes(report: Dict) -> bytes:
-    """Serialize one ``repro-check-suite/4`` report (same sharing)."""
+    """Serialize one ``repro-check-suite`` report (same sharing)."""
     return _artifact_bytes(report)
-
-
-def check_digest_from_entries(entries: Sequence[Dict]) -> str:
-    """:func:`repro.check.verifier.suite_digest` recomputed from
-    report test entries instead of live verdicts — same canonical
-    projection, same bytes, same hash."""
-    projection = [{key: entry[key] for key in _PROJECTION_KEYS}
-                  for entry in entries]
-    canonical = json.dumps(projection, sort_keys=True,
-                           separators=(",", ":"))
-    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
-
-
-def assemble_check_report(entries: Sequence[Dict], engine: str,
-                          engine_used: str) -> Dict:
-    """Rebuild the deterministic ``repro-check-suite/4`` report from
-    per-test entries (the shape :func:`suite_report_json` emits with
-    ``deterministic=True`` and the service's fixed ``model`` label)."""
-    return {
-        "schema": "repro-check-suite/4",
-        "model": "submitted",
-        "engine": engine,
-        "engine_used": engine_used or engine,
-        "digest": check_digest_from_entries(entries),
-        "failures": sum(1 for e in entries
-                        if e["status"] == "DECIDED" and e["observable"]
-                        and not e["permitted_sc"]),
-        "undecided": sum(1 for e in entries if e["status"] != "DECIDED"),
-        "tests": list(entries),
-    }
 
 
 def unknown_check_entry(name: str) -> Dict:
@@ -247,18 +217,16 @@ def merge_check_shards(params: Dict, payloads: Dict[int, Dict],
     single-worker ``report.json``; with lost shards it is a partial
     report whose UNKNOWN set is exactly the lost shards' members.
     """
+    from ..check import suite_report_from_entries
     count = len(payloads) + len(lost)
     entries: List[Dict] = []
-    engine_used = ""
     for index in range(count):
         if index in payloads:
-            shard = payloads[index]
-            entries.extend(shard["tests"])
-            engine_used = engine_used or shard.get("engine_used", "")
+            entries.extend(payloads[index]["tests"])
         else:
             entries.extend(unknown_check_entry(name)
                            for name in lost[index])
-    report = assemble_check_report(entries, params["engine"], engine_used)
+    report = suite_report_from_entries(entries, CHECK_REPORT_MODEL)
     if lost:
         report["partial"] = True
         report["unknown_shards"] = sorted(lost)

@@ -20,8 +20,7 @@ TRANSIENT = FaultPlan(crashes=frozenset({0}), hangs=frozenset({4}),
 
 @pytest.fixture(scope="module")
 def clean_suite(reference_model, litmus_suite):
-    run = run_suite(reference_model, litmus_suite, jobs=1,
-                    engine="incremental")
+    run = run_suite(reference_model, litmus_suite, jobs=1)
     return (_verdict_projection(run.verdicts), suite_digest(run.verdicts))
 
 
@@ -30,7 +29,7 @@ class TestFaultedSuiteParity:
     def test_crashes_hangs_garbage_do_not_change_verdicts(
             self, reference_model, litmus_suite, clean_suite, jobs):
         run = run_suite(reference_model, litmus_suite, jobs=jobs,
-                        engine="incremental", fault_plan=TRANSIENT)
+                        fault_plan=TRANSIENT)
         projection, digest = clean_suite
         assert _verdict_projection(run.verdicts) == projection
         assert suite_digest(run.verdicts) == digest
@@ -41,7 +40,7 @@ class TestFaultedSuiteParity:
             self, reference_model, litmus_suite, clean_suite):
         plan = FaultPlan(crashes=frozenset({1}))  # kills the worker process
         run = run_suite(reference_model, litmus_suite, jobs=4,
-                        engine="incremental", fault_plan=plan)
+                        fault_plan=plan)
         assert suite_digest(run.verdicts) == clean_suite[1]
 
 
@@ -53,11 +52,11 @@ class TestInterruptResumeParity:
         plan = FaultPlan(interrupts=frozenset({20}))
         with pytest.raises(InterruptedRun) as excinfo:
             run_suite(reference_model, litmus_suite, jobs=jobs,
-                      engine="incremental", journal_path=journal,
+                      journal_path=journal,
                       fault_plan=plan)
         assert excinfo.value.resumable
         resumed = run_suite(reference_model, litmus_suite, jobs=jobs,
-                            engine="incremental", journal_path=journal,
+                            journal_path=journal,
                             resume=True)
         assert resumed.resumed >= 1  # checkpointed verdicts were replayed
         projection, digest = clean_suite
@@ -69,7 +68,7 @@ class TestInterruptResumeParity:
         plan = FaultPlan(interrupts=frozenset({3}))
         with pytest.raises(InterruptedRun) as excinfo:
             run_suite(reference_model, litmus_suite[:8], jobs=1,
-                      engine="incremental", fault_plan=plan)
+                      fault_plan=plan)
         assert not excinfo.value.resumable
         assert len(excinfo.value.partial) == 3
 
@@ -78,7 +77,6 @@ class TestBudgetExpiry:
     def test_expired_budget_yields_conservative_timeouts(
             self, reference_model, litmus_suite):
         run = run_suite(reference_model, litmus_suite[:6], jobs=1,
-                        engine="incremental",
                         budget=Budget(timeout_seconds=1e-9))
         assert all(not v.decided for v in run.verdicts)
         assert all(not v.passed for v in run.verdicts)  # never PASS
@@ -88,11 +86,11 @@ class TestBudgetExpiry:
             self, reference_model, litmus_suite, tmp_path):
         journal = str(tmp_path / "check.jsonl")
         starved = run_suite(reference_model, litmus_suite[:4], jobs=1,
-                            engine="incremental", journal_path=journal,
+                            journal_path=journal,
                             budget=Budget(timeout_seconds=1e-9))
         assert all(not v.decided for v in starved.verdicts)
         retried = run_suite(reference_model, litmus_suite[:4], jobs=1,
-                            engine="incremental", journal_path=journal,
+                            journal_path=journal,
                             resume=True)
         assert retried.resumed == 0  # TIMEOUT verdicts were never journaled
         assert all(v.decided for v in retried.verdicts)
@@ -101,14 +99,13 @@ class TestBudgetExpiry:
 class TestSweepFaultTolerance:
     @pytest.fixture(scope="class")
     def clean_sweep(self, reference_model):
-        return verify_exactness(reference_model, limit=16, jobs=1,
-                                engine="incremental")
+        return verify_exactness(reference_model, limit=16, jobs=1)
 
     @pytest.mark.parametrize("jobs", [1, 4])
     def test_faulted_sweep_matches_clean(self, reference_model, clean_sweep,
                                          jobs):
         report = verify_exactness(reference_model, limit=16, jobs=jobs,
-                                  engine="incremental", fault_plan=TRANSIENT)
+                                  fault_plan=TRANSIENT)
         assert report.digest() == clean_sweep.digest()
         assert report.exact == clean_sweep.exact
 
@@ -118,18 +115,17 @@ class TestSweepFaultTolerance:
         plan = FaultPlan(interrupts=frozenset({6}))
         with pytest.raises(InterruptedRun) as excinfo:
             verify_exactness(reference_model, limit=16, jobs=1,
-                             engine="incremental", journal_path=journal,
+                             journal_path=journal,
                              fault_plan=plan)
         assert excinfo.value.resumable
         report = verify_exactness(reference_model, limit=16, jobs=1,
-                                  engine="incremental", journal_path=journal,
+                                  journal_path=journal,
                                   resume=True)
         assert report.resumed >= 1
         assert report.digest() == clean_sweep.digest()
 
     def test_starved_sweep_is_not_exact(self, reference_model):
         report = verify_exactness(reference_model, limit=8, jobs=1,
-                                  engine="incremental",
                                   budget=Budget(timeout_seconds=1e-9))
         assert report.undecided
         assert not report.exact

@@ -24,8 +24,7 @@ def _sha256(path):
 
 
 def _config(state_dir, **overrides):
-    base = dict(state_dir=str(state_dir), design="unicore", jobs=2,
-                engine="incremental")
+    base = dict(state_dir=str(state_dir), design="unicore", jobs=2)
     base.update(overrides)
     return PipelineConfig(**base)
 
@@ -48,7 +47,7 @@ class TestCleanPipeline:
         assert len(result.digest) == 64
         assert result.stages_resumed == []
         report = json.loads(open(result.report_path).read())
-        assert report["schema"] == "repro-check-suite/4"
+        assert report["schema"] == "repro-check-suite/5"
         assert report["digest"] == result.digest
         assert report["model"] == "model.uarch"  # no state-dir path leak
         assert "time_ms" not in report["tests"][0]  # deterministic bytes

@@ -173,53 +173,33 @@ class TestMissingPathAxioms:
         assert result.observable
 
 
-class TestEngineResolution:
-    """The 'auto' engine resolves per workload (fresh for the suite,
-    incremental for the sweep), and the resolution is recorded."""
-
-    def test_resolvers(self):
-        from repro.check import resolve_suite_engine, resolve_sweep_engine
-        assert resolve_suite_engine("auto") == "fresh"
-        assert resolve_suite_engine("fresh") == "fresh"
-        assert resolve_suite_engine("incremental") == "incremental"
-        assert resolve_sweep_engine("auto") == "incremental"
-        assert resolve_sweep_engine("fresh") == "fresh"
-
-    def test_checker_records_engine_used(self):
+class TestSuiteReport:
+    def test_run_suite_report_schema(self):
+        from repro.check import (run_suite, suite_report_from_entries,
+                                 suite_report_json)
         model = sc_hand_model()
-        assert Checker(model, engine="auto").engine_used == "fresh"
-        assert Checker(model, engine="incremental").engine_used == \
-            "incremental"
-        with pytest.raises(Exception):
-            Checker(model, engine="bogus")
-
-    def test_run_suite_reports_engine_used(self):
-        from repro.check import run_suite, suite_report_json
-        model = sc_hand_model()
-        tests = [suite_by_name()["mp"]]
-        run = run_suite(model, tests, engine="auto")
-        assert run.engine_used == "fresh"
-        report = suite_report_json(run.verdicts, engine="auto",
-                                   engine_used=run.engine_used,
-                                   profile_sat=True)
-        assert report["schema"] == "repro-check-suite/4"
-        assert report["engine_used"] == "fresh"
-        assert "sat_core" not in report
+        run = run_suite(model, [suite_by_name()["mp"]])
+        report = suite_report_json(run.verdicts, profile_sat=True)
+        assert report["schema"] == "repro-check-suite/5"
+        assert "engine" not in report and "engine_used" not in report
         assert report["sat_profile"]["sat_propagations"] > 0
+        assert not any(key.startswith("batch_")
+                       for key in report["sat_profile"])
+        # suite_report_from_entries (the service's shard merge) rebuilds
+        # the deterministic report exactly.
+        deterministic = suite_report_json(run.verdicts, model="m",
+                                          deterministic=True)
+        assert suite_report_from_entries(deterministic["tests"], "m") == \
+            deterministic
 
-    def test_auto_and_explicit_engines_verdict_identical(self):
+    def test_run_suite_engine_is_fresh_only(self):
         from repro.check import run_suite, suite_digest
+        from repro.errors import CheckError
         model = sc_hand_model()
         tests = [suite_by_name()[n] for n in ("mp", "sb", "lb")]
-        digests = {
-            engine: suite_digest(run_suite(model, tests,
-                                           engine=engine).verdicts)
-            for engine in ("auto", "fresh", "incremental")
-        }
-        assert len(set(digests.values())) == 1, digests
-
-    def test_sweep_engine_validation(self):
-        from repro.check import verify_exactness
-        model = sc_hand_model()
-        with pytest.raises(Exception):
-            verify_exactness(model, limit=1, engine="bogus")
+        assert suite_digest(run_suite(model, tests, engine="fresh")
+                            .verdicts) == \
+            suite_digest(run_suite(model, tests).verdicts)
+        for engine in ("incremental", "auto"):
+            with pytest.raises(CheckError, match="unknown check engine"):
+                run_suite(model, tests, engine=engine)

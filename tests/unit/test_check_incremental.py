@@ -1,6 +1,6 @@
-"""ProgramSolver (assumption-flip incremental engine) must be
+"""ProgramSolver (the sweep's assumption-flip decider) must be
 verdict-identical to the fresh per-condition path — the property the
-whole incremental mode rests on."""
+sweep's decision path rests on."""
 
 import pytest
 
@@ -126,16 +126,6 @@ class TestEdgeCases:
         condition = [((0, "r1"), 1)]
         assert instance.decide(iter(condition)).observable is True
 
-    def test_witness_graph_on_request(self, hand_model):
-        test = suite_by_name()["mp"]
-        instance = ProgramSolver(hand_model, test)
-        # mp's SC-allowed sibling outcome r1=1, r2=1 is observable.
-        result = instance.decide((((1, "r1"), 1), ((1, "r2"), 1)),
-                                 keep_graph=True)
-        assert result.observable
-        assert result.graph is not None
-        assert result.graph.edges
-
     def test_stats_populated(self, hand_model):
         test = suite_by_name()["mp"]
         instance = ProgramSolver(hand_model, test)
@@ -162,9 +152,6 @@ class TestDecideBatch:
         assert [r.observable for r in got] == [r.observable for r in want]
         assert all(r.decided for r in got)
         assert batched.decides == sequential.decides == 4
-        # Consecutive sorted conditions share assumption prefixes.
-        assert batched.stats.batch_assumption_levels > 0
-        assert batched.stats.batch_shared_levels >= 0
 
     def test_mixed_plans_in_one_batch(self, hand_model):
         program = ((W("x", 1), R("x", "r1")),)
@@ -204,15 +191,3 @@ class TestDecideBatch:
             got = [r.observable for r in batched.decide_batch(conditions)]
             want = [sequential.decide(c).observable for c in conditions]
             assert got == want, program
-
-    def test_keep_graph_extracts_witnesses(self, hand_model):
-        test = suite_by_name()["mp"]
-        conditions = [(((1, "r1"), 1), ((1, "r2"), 1)),  # observable
-                      (((1, "r1"), 1), ((1, "r2"), 0))]  # forbidden by mp?
-        instance = ProgramSolver(hand_model, test)
-        results = instance.decide_batch(conditions, keep_graph=True)
-        for result in results:
-            if result.observable:
-                assert result.graph is not None and result.graph.edges
-            else:
-                assert result.graph is None

@@ -117,13 +117,41 @@ def test_check_budget_expiry_is_conservative(capsys, reference_model):
     assert "ALL TESTS PASS" not in out
 
 
+def test_show_graph_names_undecided_tests(capsys, reference_model):
+    assert main(["check", "mp", "sb", "--show-graph",
+                 "--timeout", "0.000001"]) == 1
+    out = capsys.readouterr().out
+    assert "unobservable" not in out
+    assert "== mp: undecided (TIMEOUT, budget exhausted); no graph ==" in out
+    assert "== sb: undecided (TIMEOUT, budget exhausted); no graph ==" in out
+
+
+def test_show_graph_names_replayed_observable_verdicts(capsys, tmp_path):
+    from repro.designs.models import load_reference_model
+    from repro.uspec import format_model
+    # Without its value axiom the model makes mp's outcome observable.
+    model = load_reference_model()
+    model.axioms = [a for a in model.axioms if a.name != "Read_Values"]
+    path = tmp_path / "permissive.uarch"
+    path.write_text(format_model(model))
+    journal = str(tmp_path / "check.jsonl")
+    argv = ["check", "mp", "--model", str(path), "--show-graph",
+            "--journal", journal]
+    assert main(argv) == 1
+    assert "== witness µhb graph: mp ==" in capsys.readouterr().out
+    assert main(argv + ["--resume"]) == 1
+    out = capsys.readouterr().out
+    assert "replayed by --resume" in out
+    assert "unobservable" not in out
+
+
 def test_check_report_json(capsys, reference_model, tmp_path):
     path = tmp_path / "report.json"
     assert main(["check", "mp", "sb", "--report-json", str(path)]) == 0
     import json
     report = json.loads(path.read_text())
-    assert report["schema"] == "repro-check-suite/4"
-    assert report["engine_used"] == "fresh"  # the suite's auto default
+    assert report["schema"] == "repro-check-suite/5"
+    assert "engine" not in report and "engine_used" not in report
     assert "sat_core" not in report
     assert report["undecided"] == 0
     assert report["failures"] == 0

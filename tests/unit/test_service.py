@@ -51,8 +51,12 @@ class TestValidateParams:
             validate_params("check", {"tests": "mp,sb"})
 
     def test_bad_engine_refused(self):
-        with pytest.raises(ServiceError, match="unknown engine"):
-            validate_params("check", {"engine": "quantum"})
+        # No Check job picks a decider: `engine` is an unknown parameter.
+        for kind in ("check", "sweep", "bench"):
+            with pytest.raises(ServiceError,
+                               match=rf"unknown {kind} parameter\(s\): "
+                                     rf"engine"):
+                validate_params(kind, {"engine": "fresh"})
 
     def test_every_kind_validates_empty_params(self):
         for kind in JOB_KINDS:
