@@ -1,32 +1,368 @@
-"""Grounding µspec axioms to CNF over µhb-edge variables."""
+"""Grounding µspec axioms to CNF over µhb-edge variables.
+
+A :class:`GroundingPlan` compiles a model once into closures: microop
+variables become slot indices into one environment list, the
+microop-attribute predicates become direct tests, and each axiom gets
+an *asserted-position* encoder that adds its clauses straight to the
+CNF.  :class:`ModelEvaluator` runs the plan for one litmus instance.
+The plan is held on its model (:func:`grounding_plan`), so a sweep over
+many programs compiles the model once, and it dies with the model.
+"""
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from ..errors import CheckError
 from ..sat import Cnf
 from ..uspec import ast as U
-from .instance import GroundContext, Microop
+from .instance import MICROOP_PREDICATES, GroundContext
 
 #: A µhb node: (microop uid, location name).
 UhbNode = Tuple[int, str]
 #: A µhb edge between two nodes.
 UhbEdge = Tuple[UhbNode, UhbNode]
 
+#: A compiled subformula in value position: ``(evaluator, env)`` to
+#: True/False or a CNF literal.
+Value = Callable[["ModelEvaluator", list], object]
+#: A compiled subformula in asserted position: ``(evaluator, env,
+#: guard)`` adds clauses saying ``OR(guard) or formula``.
+Asserted = Callable[["ModelEvaluator", list, tuple], None]
+
+#: the model attribute that holds its compiled plan
+_PLAN_ATTR = "_grounding_plan"
+
+
+def grounding_plan(model: U.Model) -> "GroundingPlan":
+    """The model's compiled plan, recompiled when its axioms or stages
+    have changed since the last call."""
+    key = _plan_key(model)
+    plan = model.__dict__.get(_PLAN_ATTR)
+    if plan is None or plan.key != key:
+        plan = GroundingPlan(model, key)
+        setattr(model, _PLAN_ATTR, plan)
+    return plan
+
+
+def _plan_key(model: U.Model) -> tuple:
+    # Formulas are immutable, so the names, formulas and stages are
+    # everything a plan is compiled from.
+    return (tuple((axiom.name, axiom.formula) for axiom in model.axioms),
+            tuple(model.stage_names))
+
+
+def _memory_location(model: U.Model) -> Optional[str]:
+    """The location standing for shared memory: taken from the
+    Read_Values axiom's edges (falls back to a location named 'mem')."""
+    for axiom in model.axioms:
+        if axiom.name == "Read_Values":
+            found: List[str] = []
+
+            def walk(f: U.Formula) -> None:
+                if isinstance(f, (U.AddEdge, U.EdgeExists)):
+                    found.append(f.src.location)
+                    found.append(f.dst.location)
+                for attr in ("body", "lhs", "rhs"):
+                    child = getattr(f, attr, None)
+                    if isinstance(child, U.Formula):
+                        walk(child)
+                for part in getattr(f, "parts", ()):
+                    walk(part)
+
+            walk(axiom.formula)
+            if found:
+                # The most frequent location in Read_Values is memory;
+                # ties break on first appearance so the choice never
+                # depends on set iteration order (PYTHONHASHSEED).
+                counts: Dict[str, int] = {}
+                for loc in found:
+                    counts[loc] = counts.get(loc, 0) + 1
+                return max(counts, key=lambda loc: (counts[loc],
+                                                    -found.index(loc)))
+    for name in model.stage_names:
+        if "mem" in name:
+            return name
+    return None
+
+
+def _raise(message: str) -> Value:
+    """A compiled node that fails only if grounding reaches it."""
+    def fail(ev, env):
+        raise CheckError(message)
+    return fail
+
+
+def _true(ev, env):
+    return True
+
+
+def _false(ev, env):
+    return False
+
+
+class GroundingPlan:
+    """A µspec model compiled once for grounding any program.
+
+    ``paths`` lists one node-map recipe per ``Path_*`` axiom (the
+    locations a microop touches), ``axioms`` one asserted-position
+    encoder per axiom, and ``memory_location`` is the location that
+    stands for shared memory.
+    """
+
+    def __init__(self, model: U.Model, key: tuple):
+        self.key = key
+        #: environment slots: the deepest quantifier nesting
+        self.depth = 0
+        self.paths = [self._path(axiom.formula, ())
+                      for axiom in model.axioms
+                      if axiom.name.startswith("Path")]
+        self.axioms = [self._assert(axiom.formula, ())
+                       for axiom in model.axioms]
+        self.memory_location = _memory_location(model)
+
+    def _bind(self, scope: tuple, var: str) -> Tuple[int, tuple]:
+        slot = len(scope)
+        self.depth = max(self.depth, slot + 1)
+        return slot, scope + (var,)
+
+    @staticmethod
+    def _slot(scope: tuple, var: str) -> Optional[int]:
+        # The innermost binding of a name shadows outer ones.
+        for slot in range(len(scope) - 1, -1, -1):
+            if scope[slot] == var:
+                return slot
+        return None
+
+    # ------------------------------------------------------------------
+    # Path axioms: the microop's µhb nodes
+    # ------------------------------------------------------------------
+    def _path(self, formula: U.Formula, scope: tuple):
+        """Compile a Path axiom body to ``(evaluator, env)`` -> the
+        (src, dst) location pairs it adds; every quantifier binds the
+        one microop, so the caller fills ``env`` with it."""
+        if isinstance(formula, U.Forall):
+            return self._path(formula.body, self._bind(scope, formula.var)[1])
+        if isinstance(formula, U.Implies):
+            premise = self._value(formula.lhs, scope)
+            rhs = self._path(formula.rhs, scope)
+
+            def implies(ev, env):
+                holds = premise(ev, env)
+                if holds is False:
+                    return ()
+                if holds is not True:
+                    raise CheckError(
+                        "Path axiom premises must be ground predicates")
+                return rhs(ev, env)
+            return implies
+        if isinstance(formula, U.And):
+            parts = [self._path(part, scope) for part in formula.parts]
+
+            def conj(ev, env):
+                pairs = []
+                for part in parts:
+                    pairs.extend(part(ev, env))
+                return pairs
+            return conj
+        if isinstance(formula, U.AddEdge):
+            pair = ((formula.src.location, formula.dst.location),)
+            return lambda ev, env: pair
+        return _raise(
+            f"unsupported construct in Path axiom: {type(formula).__name__}")
+
+    # ------------------------------------------------------------------
+    # Value position: True/False or a literal
+    # ------------------------------------------------------------------
+    def _value(self, formula: U.Formula, scope: tuple) -> Value:
+        if isinstance(formula, U.TrueF):
+            return _true
+        if isinstance(formula, U.FalseF):
+            return _false
+        if isinstance(formula, (U.Forall, U.Exists)):
+            return self._quantifier(formula, scope)
+        if isinstance(formula, U.Implies):
+            lhs = self._value(formula.lhs, scope)
+            rhs = self._value(formula.rhs, scope)
+
+            def implies(ev, env):
+                premise = lhs(ev, env)
+                if premise is False:
+                    return True
+                sub = rhs(ev, env)
+                if premise is True or sub is True:
+                    return sub
+                if sub is False:
+                    return -premise
+                return ev.cnf.encode_or([-premise, sub])
+            return implies
+        if isinstance(formula, (U.And, U.Or)):
+            return self._connective(formula, scope)
+        if isinstance(formula, U.Not):
+            body = self._value(formula.body, scope)
+
+            def negate(ev, env):
+                sub = body(ev, env)
+                if sub is True or sub is False:
+                    return not sub
+                return -sub
+            return negate
+        if isinstance(formula, U.Pred):
+            return self._pred(formula, scope)
+        if isinstance(formula, (U.AddEdge, U.EdgeExists)):
+            return self._edge(formula, scope)
+        return _raise(f"cannot ground {type(formula).__name__}")
+
+    def _quantifier(self, formula, scope: tuple) -> Value:
+        slot, inner = self._bind(scope, formula.var)
+        body = self._value(formula.body, inner)
+        is_or = isinstance(formula, U.Exists)
+        return lambda ev, env: _gate(ev, _instances(ev, env, slot, body),
+                                     is_or)
+
+    def _connective(self, formula, scope: tuple) -> Value:
+        parts = [self._value(part, scope) for part in formula.parts]
+        is_or = isinstance(formula, U.Or)
+        return lambda ev, env: _gate(ev, (part(ev, env) for part in parts),
+                                     is_or)
+
+    def _pred(self, formula: U.Pred, scope: tuple) -> Value:
+        name = formula.name
+        slots = []
+        attr = formula.attr
+        for arg in formula.args:
+            slot = self._slot(scope, arg)
+            if slot is None:
+                attr = arg  # literal argument (e.g. a location name)
+            else:
+                slots.append(slot)
+        test = MICROOP_PREDICATES.get(name)
+        if test is not None:
+            if len(slots) == 1:
+                a, = slots
+                return lambda ev, env: test(env[a])
+            if len(slots) == 2:
+                a, b = slots
+                return lambda ev, env: test(env[a], env[b])
+            return _raise(f"µspec predicate {name!r} given {len(slots)} "
+                          f"microop(s)")
+        if name.startswith("IsType_"):
+            # Custom instruction types: this model's microops are plain
+            # reads and writes.
+            return _false
+        if name in ("OnCore", "AccessesLocation"):
+            if len(slots) != 1:
+                return _raise(f"µspec predicate {name!r} takes one microop")
+            a, = slots
+            if name == "OnCore":
+                return lambda ev, env: env[a].core == attr
+            return lambda ev, env: env[a].uid in ev.accesses.get(attr, ())
+        # Value predicates (and unknown names) go to the context, which
+        # may answer with a selector literal.
+        return lambda ev, env: ev.ctx.eval_pred(
+            name, tuple(env[slot] for slot in slots))
+
+    def _edge(self, formula, scope: tuple) -> Value:
+        src = self._slot(scope, formula.src.var)
+        dst = self._slot(scope, formula.dst.var)
+        if src is None or dst is None:
+            return _raise("edge references unbound microop variable")
+        src_loc = formula.src.location
+        dst_loc = formula.dst.location
+        label = formula.label if isinstance(formula, U.AddEdge) else ""
+        return lambda ev, env: ev.edge_var(
+            (env[src].uid, src_loc), (env[dst].uid, dst_loc), label)
+
+    # ------------------------------------------------------------------
+    # Asserted position: clauses, no Tseitin root
+    # ------------------------------------------------------------------
+    def _assert(self, formula: U.Formula, scope: tuple) -> Asserted:
+        if isinstance(formula, U.Forall):
+            slot, inner = self._bind(scope, formula.var)
+            body = self._assert(formula.body, inner)
+
+            def forall(ev, env, guard):
+                for uop in ev.uops:
+                    env[slot] = uop
+                    body(ev, env, guard)
+            return forall
+        if isinstance(formula, U.And):
+            parts = [self._assert(part, scope) for part in formula.parts]
+
+            def conj(ev, env, guard):
+                for part in parts:
+                    part(ev, env, guard)
+            return conj
+        if isinstance(formula, U.Implies):
+            lhs = self._value(formula.lhs, scope)
+            rhs = self._assert(formula.rhs, scope)
+
+            def implies(ev, env, guard):
+                premise = lhs(ev, env)
+                if premise is True:
+                    rhs(ev, env, guard)
+                elif premise is not False:
+                    rhs(ev, env, guard + (-premise,))
+            return implies
+        if isinstance(formula, U.Or):
+            parts = [self._value(part, scope) for part in formula.parts]
+            return lambda ev, env, guard: _clause(
+                ev, guard, (part(ev, env) for part in parts))
+        if isinstance(formula, U.Exists):
+            slot, inner = self._bind(scope, formula.var)
+            body = self._value(formula.body, inner)
+            return lambda ev, env, guard: _clause(
+                ev, guard, _instances(ev, env, slot, body))
+        value = self._value(formula, scope)
+        return lambda ev, env, guard: _clause(ev, guard, (value(ev, env),))
+
+
+def _instances(ev, env, slot: int, body: Value):
+    """``body`` on every binding of the quantified slot."""
+    for uop in ev.uops:
+        env[slot] = uop
+        yield body(ev, env)
+
+
+def _gate(ev, subs, is_or: bool):
+    """Fold value-position results into one AND (or OR) value: the
+    absorbing constant short-circuits, the neutral one drops out."""
+    lits = []
+    for sub in subs:
+        if sub is is_or:
+            return is_or
+        if sub is not (not is_or):
+            lits.append(sub)
+    if not lits:
+        return not is_or
+    return ev.cnf.encode_or(lits) if is_or else ev.cnf.encode_and(lits)
+
+
+def _clause(ev, guard: tuple, subs) -> None:
+    """Assert ``OR(guard) or OR(subs)`` as one clause."""
+    clause = list(guard)
+    for sub in subs:
+        if sub is True:
+            return
+        if sub is not False:
+            clause.append(sub)
+    ev.require(clause)
+
 
 class ModelEvaluator:
-    """Grounds a µspec model for one litmus instance.
+    """Grounds a µspec model for one litmus instance by running the
+    model's :class:`GroundingPlan`.
 
-    Two passes: the first interprets the ``Path_*`` axioms to learn
-    which locations each microop touches (its µhb nodes and intra
-    edges); the second encodes every axiom into CNF over edge variables.
+    Construction runs the plan's Path recipes to learn which locations
+    each microop touches (its µhb nodes); :meth:`ground_model` encodes
+    every axiom into CNF over edge variables.
     """
 
     def __init__(self, model: U.Model, ctx: GroundContext,
                  cnf: Optional[Cnf] = None):
-        self.model = model
+        self.plan = grounding_plan(model)
         self.ctx = ctx
+        self.uops = ctx.uops
         # An externally supplied Cnf lets symbolic contexts allocate
         # selector variables in the same variable space (incremental mode).
         self.cnf = cnf if cnf is not None else Cnf()
@@ -36,77 +372,15 @@ class ModelEvaluator:
         self.accesses: Dict[str, set] = {}
         #: uid -> ordered list of locations (µhb nodes)
         self.nodes_of: Dict[int, List[str]] = {u.uid: [] for u in ctx.uops}
-        self._collect_paths()
-
-    # ------------------------------------------------------------------
-    # Pass 1: per-microop execution paths
-    # ------------------------------------------------------------------
-    def _collect_paths(self) -> None:
-        for axiom in self.model.axioms:
-            if not axiom.name.startswith("Path"):
-                continue
-            for uop in self.ctx.uops:
-                edges = self._path_edges(axiom.formula, {}, uop)
-                if edges is None:
-                    continue
-                for src, dst in edges:
-                    for loc in (src.location, dst.location):
+        for path in self.plan.paths:
+            for uop in self.uops:
+                nodes = self.nodes_of[uop.uid]
+                for pair in path(self, [uop] * self.plan.depth):
+                    for loc in pair:
                         self.accesses.setdefault(loc, set()).add(uop.uid)
-                        if loc not in self.nodes_of[uop.uid]:
-                            self.nodes_of[uop.uid].append(loc)
+                        if loc not in nodes:
+                            nodes.append(loc)
 
-    def _path_edges(self, formula: U.Formula, env: Dict[str, Microop],
-                    uop: Microop) -> Optional[List[Tuple[U.Node, U.Node]]]:
-        """Evaluate a Path axiom body for one microop; None if the
-        premises do not hold."""
-        if isinstance(formula, U.Forall):
-            return self._path_edges(formula.body, {**env, formula.var: uop}, uop)
-        if isinstance(formula, U.Implies):
-            premise = self._eval_ground_pred(formula.lhs, env)
-            if premise is False:
-                return []
-            if premise is not True:
-                raise CheckError("Path axiom premises must be ground predicates")
-            return self._path_edges(formula.rhs, env, uop)
-        if isinstance(formula, U.And):
-            edges: List[Tuple[U.Node, U.Node]] = []
-            for part in formula.parts:
-                sub = self._path_edges(part, env, uop)
-                if sub is None:
-                    return None
-                edges.extend(sub)
-            return edges
-        if isinstance(formula, U.AddEdge):
-            return [(formula.src, formula.dst)]
-        raise CheckError(
-            f"unsupported construct in Path axiom: {type(formula).__name__}")
-
-    def _eval_ground_pred(self, formula: U.Formula, env: Dict[str, Microop]):
-        if isinstance(formula, U.Pred):
-            args = []
-            attr = formula.attr
-            for arg in formula.args:
-                if arg in env:
-                    args.append(env[arg])
-                else:
-                    # Literal argument (e.g. a location name).
-                    attr = arg
-            return self.ctx.eval_pred(formula.name, tuple(args), attr=attr,
-                                      accesses=self.accesses)
-        if isinstance(formula, U.Not):
-            inner = self._eval_ground_pred(formula.body, env)
-            if inner is True or inner is False:
-                return not inner
-            return -inner  # symbolic predicates ground to CNF literals
-        if isinstance(formula, U.TrueF):
-            return True
-        if isinstance(formula, U.FalseF):
-            return False
-        raise CheckError(f"expected ground predicate, got {type(formula).__name__}")
-
-    # ------------------------------------------------------------------
-    # Pass 2: CNF encoding
-    # ------------------------------------------------------------------
     def edge_var(self, src: UhbNode, dst: UhbNode, label: str = "") -> int:
         """CNF literal for a µhb edge (allocated on demand).
 
@@ -128,99 +402,18 @@ class ModelEvaluator:
             self.edge_labels[key] = label
         return var
 
-    def ground_model(self) -> None:
-        """Encode every axiom; asserts each axiom's root literal."""
-        for axiom in self.model.axioms:
-            lit = self._ground(axiom.formula, {})
-            if lit is False:
-                # The axiom is unsatisfiable for this instance (e.g. a
-                # final-memory value no write produces).
-                self.cnf.add_clause([])
-                raise _Unsatisfiable()
-            if lit is not True:
-                self.cnf.assert_lit(lit)
+    def require(self, clause) -> None:
+        """Add one clause; an empty one means no graph can satisfy the
+        model for this instance."""
+        self.cnf.add_clause(clause)
+        if not clause:
+            raise _Unsatisfiable()
 
-    def _ground(self, formula: U.Formula, env: Dict[str, Microop]):
-        """Returns True/False or a CNF literal."""
-        cnf = self.cnf
-        if isinstance(formula, U.TrueF):
-            return True
-        if isinstance(formula, U.FalseF):
-            return False
-        if isinstance(formula, U.Forall):
-            lits = []
-            for uop in self.ctx.uops:
-                sub = self._ground(formula.body, {**env, formula.var: uop})
-                if sub is False:
-                    return False
-                if sub is not True:
-                    lits.append(sub)
-            if not lits:
-                return True
-            return cnf.encode_and(lits)
-        if isinstance(formula, U.Exists):
-            lits = []
-            for uop in self.ctx.uops:
-                sub = self._ground(formula.body, {**env, formula.var: uop})
-                if sub is True:
-                    return True
-                if sub is not False:
-                    lits.append(sub)
-            if not lits:
-                return False
-            return cnf.encode_or(lits)
-        if isinstance(formula, U.Implies):
-            lhs = self._ground(formula.lhs, env)
-            if lhs is False:
-                return True
-            rhs = self._ground(formula.rhs, env)
-            if lhs is True:
-                return rhs
-            if rhs is True:
-                return True
-            if rhs is False:
-                return -lhs
-            return cnf.encode_or([-lhs, rhs])
-        if isinstance(formula, U.And):
-            lits = []
-            for part in formula.parts:
-                sub = self._ground(part, env)
-                if sub is False:
-                    return False
-                if sub is not True:
-                    lits.append(sub)
-            if not lits:
-                return True
-            return cnf.encode_and(lits)
-        if isinstance(formula, U.Or):
-            lits = []
-            for part in formula.parts:
-                sub = self._ground(part, env)
-                if sub is True:
-                    return True
-                if sub is not False:
-                    lits.append(sub)
-            if not lits:
-                return False
-            return cnf.encode_or(lits)
-        if isinstance(formula, U.Not):
-            sub = self._ground(formula.body, env)
-            if sub is True:
-                return False
-            if sub is False:
-                return True
-            return -sub
-        if isinstance(formula, U.Pred):
-            return self._eval_ground_pred(formula, env)
-        if isinstance(formula, (U.AddEdge, U.EdgeExists)):
-            src_uop = env.get(formula.src.var)
-            dst_uop = env.get(formula.dst.var)
-            if src_uop is None or dst_uop is None:
-                raise CheckError("edge references unbound microop variable")
-            label = formula.label if isinstance(formula, U.AddEdge) else ""
-            return self.edge_var((src_uop.uid, formula.src.location),
-                                 (dst_uop.uid, formula.dst.location), label)
-        raise CheckError(f"cannot ground {type(formula).__name__}")
+    def ground_model(self) -> None:
+        """Encode every axiom into clauses over edge variables."""
+        env = [None] * self.plan.depth
+        for axiom in self.plan.axioms:
+            axiom(self, env, ())
 
 
 class _Unsatisfiable(Exception):

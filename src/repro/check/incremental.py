@@ -46,7 +46,6 @@ from .solver import (
     SolveStats,
     _add_order_constraints,
     _final_write_options,
-    _memory_location,
     solve_observability,
 )
 
@@ -125,18 +124,17 @@ class SymbolicContext(GroundContext):
         return self.cnf.encode_or(options)
 
     # ------------------------------------------------------------------
-    def eval_pred(self, name: str, args: Tuple[Microop, ...],
-                  attr=None, accesses=None):
+    def eval_pred(self, name: str, args: Tuple[Microop, ...]):
         if name == "SameData":
             return self._same_data(args[0], args[1])
         if name == "DataFromInitial":
             uop = args[0]
             if uop.data is None:
                 return -self._pin_conflicts(uop.uid, 0)
-            return super().eval_pred(name, args, attr, accesses)
+            return super().eval_pred(name, args)
         if name == "IsFinalValue":
             return self._is_final_value(args[0])
-        return super().eval_pred(name, args, attr, accesses)
+        return super().eval_pred(name, args)
 
 
 class ProgramSolver:
@@ -187,7 +185,7 @@ class ProgramSolver:
         """Guard the fresh path's final-memory constraint behind each
         (address, value) selector: infeasible pins become unit clauses,
         feasible ones imply "a write of that value serializes last"."""
-        mem_loc = _memory_location(self.evaluator)
+        mem_loc = self.evaluator.plan.memory_location
         cnf = self.cnf
         for (addr, value), sel in self.ctx.mem_sel.items():
             writes = self.ctx.writes(addr)

@@ -42,6 +42,18 @@ class Microop:
         return f"i{self.uid}:Ld {self.addr}->{value} (c{self.core})"
 
 
+#: µspec predicates decided by the argument microops' own attributes:
+#: name -> test over the microops
+MICROOP_PREDICATES = {
+    "IsAnyRead": lambda a: a.kind == "R",
+    "IsAnyWrite": lambda a: a.kind == "W",
+    "SameCore": lambda a, b: a.core == b.core,
+    "SameMicroop": lambda a, b: a.uid == b.uid,
+    "ProgramOrder": lambda a, b: a.core == b.core and a.index < b.index,
+    "SamePA": lambda a, b: a.addr == b.addr,
+}
+
+
 class GroundContext:
     """Microops + predicate evaluation for one (test, outcome) pair.
 
@@ -83,21 +95,16 @@ class GroundContext:
         return [u for u in self.uops if u.is_read]
 
     # ------------------------------------------------------------------
-    def eval_pred(self, name: str, args: Tuple[Microop, ...],
-                  attr=None, accesses: Optional[Dict[str, set]] = None) -> bool:
-        """Evaluate a ground µspec predicate to a Boolean."""
-        if name == "IsAnyRead":
-            return args[0].is_read
-        if name == "IsAnyWrite":
-            return args[0].is_write
-        if name == "SameCore":
-            return args[0].core == args[1].core
-        if name == "SameMicroop":
-            return args[0].uid == args[1].uid
-        if name == "ProgramOrder":
-            return args[0].core == args[1].core and args[0].index < args[1].index
-        if name == "SamePA":
-            return args[0].addr == args[1].addr
+    def eval_pred(self, name: str, args: Tuple[Microop, ...]) -> bool:
+        """Evaluate a ground µspec predicate over microops to a Boolean.
+
+        The grounding plan decides the :data:`MICROOP_PREDICATES` (and
+        the attribute and location predicates) itself and sends only
+        the value predicates here.
+        """
+        test = MICROOP_PREDICATES.get(name)
+        if test is not None:
+            return test(*args)
         if name == "SameData":
             # Unconstrained loads may take any value.
             if args[1].data is None or args[0].data is None:
@@ -121,13 +128,4 @@ class GroundContext:
             if uop.addr not in self.final_mem:
                 return False
             return uop.data == self.final_mem[uop.addr]
-        if name == "AccessesLocation":
-            if accesses is None:
-                raise CheckError("AccessesLocation needs the access map")
-            location = attr  # location name threaded via attr slot
-            return args[0].uid in accesses.get(location, set())
-        if name.startswith("IsType_"):
-            # Unknown custom type predicates evaluate false (the
-            # instruction types of this model are reads/writes).
-            return False
         raise CheckError(f"unknown µspec predicate {name!r}")

@@ -221,24 +221,23 @@ def _add_order_constraints(evaluator: ModelEvaluator) -> int:
     cycle and get no clauses.  Returns the number of SCCs encoded (the
     cyclic ones, with two or more nodes)."""
     cnf = evaluator.cnf
-    sccs = _cyclic_sccs(evaluator.edge_vars)
+    edge_vars = evaluator.edge_vars
+    sccs = _cyclic_sccs(edge_vars)
     for scc in sccs:
-        reach: Dict[UhbEdge, int] = {}
-        for a in scc:
-            for b in scc:
-                if a != b:
-                    reach[(a, b)] = cnf.new_var()
-        for b in scc:
-            for c in scc:
-                edge = evaluator.edge_vars.get((b, c))
+        # reach[a][b] is R(a,b) over node indices (0 on the diagonal).
+        span = range(len(scc))
+        reach = [[cnf.new_var() if a != b else 0 for b in span]
+                 for a in span]
+        for b in span:
+            for c in span:
+                edge = edge_vars.get((scc[b], scc[c]))
                 if edge is None:
                     continue
-                cnf.add_clause([-edge, reach[(b, c)]])
-                cnf.add_clause([-edge, -reach[(c, b)]])
-                for a in scc:
-                    if a != b and a != c:
-                        cnf.add_clause(
-                            [-edge, -reach[(a, b)], reach[(a, c)]])
+                cnf.add_clause([-edge, reach[b][c]])
+                cnf.add_clause([-edge, -reach[c][b]])
+                cnf.add_clauses([-edge, -row[b], row[c]]
+                                for a, row in enumerate(reach)
+                                if a != b and a != c)
     return len(sccs)
 
 
@@ -340,7 +339,7 @@ def _add_final_memory_constraints(evaluator: ModelEvaluator,
     """Encode litmus final-memory conditions: the named value's write is
     last in the memory serialization order (or no write occurred and the
     value is the initial 0)."""
-    mem_loc = _memory_location(evaluator)
+    mem_loc = evaluator.plan.memory_location
     cnf = evaluator.cnf
     for addr, value in ctx.final_mem.items():
         writes = ctx.writes(addr)
@@ -356,37 +355,3 @@ def _add_final_memory_constraints(evaluator: ModelEvaluator,
                 "model has no memory location; cannot constrain final memory")
         options = _final_write_options(evaluator, writes, candidates, mem_loc)
         cnf.assert_lit(cnf.encode_or(options))
-
-
-def _memory_location(evaluator: ModelEvaluator) -> Optional[str]:
-    """The location standing for shared memory: taken from the
-    Read_Values axiom's edges (falls back to a location named 'mem')."""
-    for axiom in evaluator.model.axioms:
-        if axiom.name == "Read_Values":
-            found: List[str] = []
-
-            def walk(f: U.Formula) -> None:
-                if isinstance(f, (U.AddEdge, U.EdgeExists)):
-                    found.append(f.src.location)
-                    found.append(f.dst.location)
-                for attr in ("body", "lhs", "rhs"):
-                    child = getattr(f, attr, None)
-                    if isinstance(child, U.Formula):
-                        walk(child)
-                for part in getattr(f, "parts", ()):
-                    walk(part)
-
-            walk(axiom.formula)
-            if found:
-                # The most frequent location in Read_Values is memory;
-                # ties break on first appearance so the choice never
-                # depends on set iteration order (PYTHONHASHSEED).
-                counts: Dict[str, int] = {}
-                for loc in found:
-                    counts[loc] = counts.get(loc, 0) + 1
-                return max(counts, key=lambda loc: (counts[loc],
-                                                    -found.index(loc)))
-    for name in evaluator.model.stage_names:
-        if "mem" in name:
-            return name
-    return None

@@ -12,7 +12,7 @@ predicates standard in Check-style models (``SamePA``, ``SameData``,
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Dict, List, Optional, Sequence, Tuple
 
 # ---------------------------------------------------------------------------
@@ -145,6 +145,12 @@ class Model:
         if name not in self.stage_names:
             self.stage_names.append(name)
         return self.stage_names.index(name)
+
+    def __getstate__(self) -> Dict:
+        # Attributes beyond the fields are derived caches (the Check
+        # layer's compiled grounding plan), rebuilt on demand.
+        names = {f.name for f in fields(self)}
+        return {k: v for k, v in self.__dict__.items() if k in names}
 
     def axiom_named(self, name: str) -> Axiom:
         for axiom in self.axioms:

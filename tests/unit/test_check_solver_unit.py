@@ -5,13 +5,9 @@ count.  The order encoding has its own oracle tests in
 
 import subprocess
 import sys
-from types import SimpleNamespace
 
-from repro.check.solver import (
-    _find_cycle,
-    _memory_location,
-    solve_observability,
-)
+from repro.check.evaluator import _memory_location
+from repro.check.solver import _find_cycle, solve_observability
 from repro.litmus import LitmusTest, suite_by_name
 from repro.mcm.events import R, W
 from repro.uspec import (
@@ -86,12 +82,8 @@ class TestIterationsUnified:
 
 
 class TestMemoryLocationDeterminism:
-    def _evaluator_for(self, model):
-        return SimpleNamespace(model=model)
-
     def test_most_frequent_location_wins(self):
-        assert _memory_location(
-            self._evaluator_for(sc_hand_model())) == "mem"
+        assert _memory_location(sc_hand_model()) == "mem"
 
     def test_tie_breaks_on_first_appearance(self):
         # Read_Values touching two locations equally often: the first
@@ -102,7 +94,7 @@ class TestMemoryLocationDeterminism:
         model.axioms.append(Axiom("Read_Values", Forall("r", Implies(
             Pred("IsAnyRead", ("r",)),
             AddEdge(Node("r", "beta"), Node("r", "alpha"), "rf")))))
-        assert _memory_location(self._evaluator_for(model)) == "beta"
+        assert _memory_location(model) == "beta"
 
     def test_stable_across_hash_seeds(self):
         # The historic bug: max(set(found), key=found.count) let
@@ -110,14 +102,13 @@ class TestMemoryLocationDeterminism:
         code = (
             "from repro.uspec import AddEdge, Axiom, Forall, Implies, "
             "Model, Node, Pred\n"
-            "from repro.check.solver import _memory_location\n"
-            "from types import SimpleNamespace\n"
+            "from repro.check.evaluator import _memory_location\n"
             "m = Model('tie')\n"
             "m.add_stage('alpha'); m.add_stage('beta')\n"
             "m.axioms.append(Axiom('Read_Values', Forall('r', Implies(\n"
             "    Pred('IsAnyRead', ('r',)),\n"
             "    AddEdge(Node('r', 'beta'), Node('r', 'alpha'), 'rf')))))\n"
-            "print(_memory_location(SimpleNamespace(model=m)))\n"
+            "print(_memory_location(m))\n"
         )
         import os
         import repro
