@@ -47,6 +47,7 @@ from .designs import (
 )
 from .formal import PropertyChecker
 from .litmus import LitmusTest, load_suite, suite_by_name
+from .resilience import FaultPlan
 from .uspec import Model, format_model, parse_model
 
 __version__ = "1.0.0"
@@ -60,7 +61,9 @@ def synthesize_uspec(sim_config: DesignConfig = SIM_CONFIG,
                      jobs: int = 1,
                      verdicts=None,
                      check_timeout: Optional[float] = None,
-                     compose: bool = False) -> SynthesisResult:
+                     compose: bool = False,
+                     fault_plan: Optional[FaultPlan] = None
+                     ) -> SynthesisResult:
     """One-call rtl2uspec run on the bundled multi-V-scale.
 
     ``buggy`` selects the design variant with the section-6.1 decoder
@@ -78,7 +81,8 @@ def synthesize_uspec(sim_config: DesignConfig = SIM_CONFIG,
     compositional synthesis (per-module obligation graphs with
     assume-guarantee interfaces and module-granularity caching); the
     synthesized model and verdict trichotomies match the monolithic
-    flow.
+    flow.  ``fault_plan`` injects deterministic discharge faults (the
+    fault-tolerance tests' harness).
     """
     sim_cfg = sim_config.with_variant(buggy=buggy)
     formal_cfg = formal_config.with_variant(buggy=buggy)
@@ -91,7 +95,8 @@ def synthesize_uspec(sim_config: DesignConfig = SIM_CONFIG,
                    jobs=jobs, verdicts=verdicts,
                    check_timeout=check_timeout,
                    hier=hier,
-                   compose=compose) as synthesizer:
+                   compose=compose,
+                   fault_plan=fault_plan) as synthesizer:
         return synthesizer.synthesize()
 
 

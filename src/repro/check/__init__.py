@@ -9,15 +9,17 @@ from .exhaustive import (
 )
 from .incremental import ProgramSolver, SymbolicContext
 from .instance import GroundContext, Microop
-from .journal import (
-    SuiteJournal,
-    SweepJournal,
+from .render import render_ascii
+from .runner import (
+    SUITE_CODEC,
+    SWEEP_CODEC,
+    SuiteRunResult,
     model_fingerprint,
     program_fingerprint,
+    run_suite,
+    run_sweep,
     test_fingerprint,
 )
-from .render import render_ascii
-from .runner import SuiteRunResult, run_suite, run_sweep
 from .solver import (
     ObservabilityResult,
     SolveStats,
@@ -50,8 +52,8 @@ __all__ = [
     "TestVerdict",
     "ProgramSolver",
     "SymbolicContext",
-    "SuiteJournal",
-    "SweepJournal",
+    "SUITE_CODEC",
+    "SWEEP_CODEC",
     "SuiteRunResult",
     "run_suite",
     "run_sweep",

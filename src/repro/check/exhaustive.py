@@ -23,10 +23,9 @@ job count (and under injected worker crashes/hangs).
 
 Budgeted sweeps (``budget=``) degrade gracefully: a condition whose
 solve runs out of budget lands in ``report.undecided`` and blocks the
-EXACT claim — an exhausted budget is never silently a pass.  The
-crash-safe/resumable entry point is
-:func:`repro.check.runner.run_sweep`; :func:`verify_exactness`
-delegates to it when journaling is requested.
+EXACT claim — an exhausted budget is never silently a pass.
+:func:`verify_exactness` delegates to the crash-safe, resumable
+:func:`repro.check.runner.run_sweep`.
 """
 
 from __future__ import annotations
@@ -58,12 +57,8 @@ class ExactnessReport:
     overstrict: List[Tuple[str, Tuple]] = field(default_factory=list)
     #: conditions whose solve budget expired (conservative: blocks EXACT)
     undecided: List[Tuple[str, Tuple]] = field(default_factory=list)
-    #: programs replayed from a resume journal (diagnostic, not digested)
+    #: programs replayed from the store (diagnostic, not digested)
     resumed: int = 0
-    #: corrupt/torn journal records dropped (and re-swept) on resume
-    quarantined_records: int = 0
-    #: where the dropped journal bytes were moved (None if clean)
-    quarantined_path: Optional[str] = None
 
     @property
     def exact(self) -> bool:
@@ -79,13 +74,7 @@ class ExactnessReport:
             if self.undecided:
                 parts.append(f"{len(self.undecided)} undecided")
             status = " / ".join(parts)
-        notes = []
-        if self.resumed:
-            notes.append(f"{self.resumed} resumed")
-        if self.quarantined_records:
-            notes.append(f"{self.quarantined_records} journal record(s) "
-                         f"quarantined")
-        note = f" ({', '.join(notes)})" if notes else ""
+        note = f" ({self.resumed} resumed)" if self.resumed else ""
         return (f"{self.programs} programs, {self.outcomes_checked} outcomes "
                 f"checked{note}: {status}")
 
@@ -230,7 +219,7 @@ def enumerate_sweep_programs(max_threads: int = 2, max_len: int = 2,
                              limit: Optional[int] = None) -> List[Program]:
     """The deduplicated, deterministically ordered program list one
     sweep covers (shared by :func:`verify_exactness` and the resumable
-    runner, so journals key the exact same programs)."""
+    runner, so stores key the exact same programs)."""
     limit = normalize_limit(limit)
     programs: List[Program] = []
     seen = set()
@@ -265,8 +254,7 @@ def verify_exactness(model, max_threads: int = 2, max_len: int = 2,
                      jobs: int = 1,
                      budget: Optional[Budget] = None,
                      fault_plan=None,
-                     journal_path: Optional[str] = None,
-                     resume: bool = False,
+                     store=None,
                      programs: Optional[Sequence[Program]] = None
                      ) -> ExactnessReport:
     """Sweep all bounded programs/outcomes; compare the model against SC.
@@ -275,8 +263,10 @@ def verify_exactness(model, max_threads: int = 2, max_len: int = 2,
     unlimited — see :func:`normalize_limit`).  ``jobs``
     distributes programs over worker processes; the report is identical
     for any job count.  ``budget`` bounds each condition's solve
-    (expiries land in ``report.undecided``); ``journal_path``/``resume``
-    make the sweep crash-safe, and ``fault_plan`` injects deterministic
+    (expiries land in ``report.undecided``); ``store`` (a
+    :class:`repro.formal.VerdictStore` opened with
+    :data:`repro.check.runner.SWEEP_CODEC`) makes the sweep crash-safe
+    and resumable, and ``fault_plan`` injects deterministic
     worker faults for the resilience tests.  ``programs`` replaces the
     built-in shape enumeration with an explicit program list (e.g. a
     generated-corpus chunk); ``limit`` still caps the prefix swept.
@@ -286,5 +276,5 @@ def verify_exactness(model, max_threads: int = 2, max_len: int = 2,
                      addresses=addresses,
                      include_final_memory=include_final_memory,
                      limit=limit, jobs=jobs, budget=budget,
-                     fault_plan=fault_plan, journal_path=journal_path,
-                     resume=resume, programs=programs)
+                     fault_plan=fault_plan, store=store,
+                     programs=programs)

@@ -12,7 +12,7 @@ under the model and compares with the ISA-level SC reference:
 
 A check may also run out of budget (``--timeout`` / conflict limits):
 the verdict then carries status ``TIMEOUT`` or ``UNKNOWN`` and is
-consumed *conservatively* — it is never a PASS, never journaled, and
+consumed *conservatively* — it is never a PASS, never persisted, and
 "ALL TESTS PASS" requires every test decided.
 
 Each test decides one final condition, so the suite is decided by
@@ -167,7 +167,7 @@ class Checker:
         (``<=0`` = all cores, ``1`` = serial) and results are in input
         order, identical for any job count.  Worker crashes and hangs
         are retried / recomputed inline by the resilience pool;
-        ``on_result`` fires once per completed test (the journaling
+        ``on_result`` fires once per completed test (the store's
         hook), and ``fault_plan`` injects deterministic faults for the
         fault-tolerance tests.
         """
@@ -305,7 +305,7 @@ def suite_report_json(verdicts: Sequence[TestVerdict], model: str = "",
     if not deterministic:
         report["jobs"] = jobs
         # Run-dependent resilience diagnostics: a resumed run that had
-        # to quarantine a corrupt journal tail says so instead of
+        # to quarantine a corrupt ``--cache`` tail says so instead of
         # silently recomputing.  Excluded from the deterministic report
         # (whose bytes must match across fresh/resumed runs).
         report["quarantined_records"] = quarantined_records

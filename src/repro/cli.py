@@ -13,7 +13,7 @@ Subcommands mirror the paper's artifact workflow (appendix A.4):
 * ``run``    — execute a litmus test on the RTL simulator.
 * ``stats``  — print design-size statistics (paper section 5.1).
 * ``serve``  — persistent verification daemon: warm workers, crash-safe
-  job ledger, persistent verdict/bitblast store (see docs/service.md).
+  job ledger, persistent verdict store (see docs/service.md).
 * ``submit`` / ``status`` / ``result`` — clients of a running daemon.
 * ``cache``  — inspect/verify/gc the daemon's persistent store.
 
@@ -44,7 +44,7 @@ JOBS_HELP = ("worker processes (1 = serial, N>1 = N workers, 0 = all "
 
 def _convert_sigterm() -> dict:
     """Route SIGTERM through the KeyboardInterrupt checkpoint path
-    (clean pool shutdown, journal commit) and remember which signal
+    (clean pool shutdown, store commit) and remember which signal
     fired so the exit code distinguishes 130 from 143."""
     import signal
 
@@ -63,13 +63,34 @@ def _interrupt_exit_code(state: dict) -> int:
     return 143 if state.get("signum") == signal.SIGTERM else 130
 
 
-def _print_interrupt(exc, resume_hint: str, flag: str = "--journal") -> None:
+def _print_interrupt(exc, resume_hint: str) -> None:
     print(f"\ninterrupted — {exc}", file=sys.stderr)
     if exc.resumable:
         print(f"resume with: {resume_hint}", file=sys.stderr)
     else:
-        print(f"(run again with {flag} <path> to make interrupted runs "
+        print("(run again with --cache <path> to make interrupted runs "
               "resumable)", file=sys.stderr)
+
+
+def _rerun_hint(args: argparse.Namespace) -> str:
+    """The command line that resumes an interrupted run: the same one."""
+    import shlex
+    return "rtl2uspec " + shlex.join(args.argv)
+
+
+def _open_cache(path: str, codec):
+    """The ``--cache`` store (None without a path).  The file is also
+    the checkpoint: re-running an interrupted command replays every
+    decision it had made."""
+    if not path:
+        return None
+    from .formal import VerdictStore
+    store = VerdictStore(path, codec=codec)
+    if store.quarantined:
+        print(f"warning: {store.quarantined_records} unreadable "
+              f"record(s) quarantined to {store.quarantined}; they will "
+              f"be re-executed", file=sys.stderr)
+    return store
 
 
 def _load_model(path: str):
@@ -109,26 +130,15 @@ def _formal_config(cores: int):
 
 
 def _cmd_synth(args: argparse.Namespace) -> int:
-    import shlex
-
     from . import synthesize_uspec
     from .errors import InterruptedRun
     from .formal import PropertyChecker
+    from .formal.cache import SVA_CODEC
     from .uspec import format_model
 
     checker = PropertyChecker(bound=args.bound, max_k=args.max_k)
     signal_state = _convert_sigterm()
-    verdicts = None
-    if args.cache:
-        from .formal import VerdictStore
-        # The cache file is also the checkpoint: re-running an
-        # interrupted command replays every verdict it had decided.
-        verdicts = VerdictStore(args.cache)
-        if verdicts.quarantined:
-            print(f"warning: {verdicts.quarantined_records} unreadable "
-                  f"verdict record(s) quarantined to "
-                  f"{verdicts.quarantined}; they will be re-executed",
-                  file=sys.stderr)
+    verdicts = _open_cache(args.cache, SVA_CODEC)
     candidates = args.candidates.split(",") if args.candidates else None
     try:
         result = synthesize_uspec(buggy=args.buggy, checker=checker,
@@ -141,7 +151,7 @@ def _cmd_synth(args: argparse.Namespace) -> int:
         kept = (f"{len(verdicts)} verdict(s) kept in {args.cache}"
                 if verdicts is not None else "no verdict cache")
         _print_interrupt(InterruptedRun(kept, resumable=bool(args.cache)),
-                         "rtl2uspec " + shlex.join(args.argv), "--cache")
+                         _rerun_hint(args))
         return _interrupt_exit_code(signal_state)
     finally:
         if verdicts is not None:
@@ -174,35 +184,33 @@ def _cmd_synth(args: argparse.Namespace) -> int:
 
 
 def _cmd_check(args: argparse.Namespace) -> int:
-    from .check import format_suite_report, run_suite, suite_report_json
+    from .check import (SUITE_CODEC, format_suite_report, run_suite,
+                        suite_report_json)
     from .errors import InterruptedRun
     from .litmus import load_suite, resolve_tests
 
     model = _load_model(args.model)
     tests = resolve_tests(args.tests) if args.tests else load_suite()
     signal_state = _convert_sigterm()
-    resume_hint = (f"rtl2uspec check --journal {args.journal} --resume"
-                   + (f" --model {args.model}" if args.model else ""))
+    store = _open_cache(args.cache, SUITE_CODEC)
     try:
         run = run_suite(model, tests, jobs=args.jobs,
                         keep_graphs=args.show_graph,
                         budget=_check_budget(args.timeout),
-                        journal_path=args.journal or None,
-                        resume=args.resume,
+                        store=store,
                         fault_plan=_fault_plan(args.inject_faults))
     except InterruptedRun as exc:
         if exc.partial:
             print(format_suite_report(exc.partial))
-        _print_interrupt(exc, resume_hint)
+        _print_interrupt(exc, _rerun_hint(args))
         return _interrupt_exit_code(signal_state)
+    finally:
+        if store is not None:
+            store.close()
     verdicts = run.verdicts
     if run.resumed:
         print(f"resumed: {run.resumed} verdict(s) replayed from "
-              f"{args.journal}")
-    if run.quarantined_records:
-        print(f"warning: {run.quarantined_records} corrupt journal "
-              f"record(s) quarantined to {run.quarantined_path}; they "
-              f"were re-executed", file=sys.stderr)
+              f"{args.cache}")
     print(format_suite_report(verdicts))
     if run.pool_stats.faults_observed():
         print(run.pool_stats.summary())
@@ -215,7 +223,7 @@ def _cmd_check(args: argparse.Namespace) -> int:
         import json
         report = suite_report_json(verdicts, model=args.model or "reference",
                                    jobs=args.jobs,
-                                   quarantined_records=run.quarantined_records,
+                                   quarantined_records=_quarantined(store),
                                    profile_sat=args.profile_sat)
         with open(args.report_json, "w", encoding="utf-8") as handle:
             json.dump(report, handle, indent=2, sort_keys=True)
@@ -231,10 +239,10 @@ def _cmd_check(args: argparse.Namespace) -> int:
                 print(f"\n== {verdict.name}: undecided ({verdict.status}, "
                       f"budget exhausted); no graph ==")
             elif verdict.observable:
-                # Only a verdict replayed from the journal lacks its
-                # witness: the journal stores verdicts, not graphs.
+                # Only a verdict replayed from the store lacks its
+                # witness: the store holds verdicts, not graphs.
                 print(f"\n== {verdict.name}: outcome observable (verdict "
-                      f"replayed by --resume; re-run without --resume to "
+                      f"replayed from --cache; re-run without --cache to "
                       f"draw the graph) ==")
             else:
                 print(f"\n== {verdict.name}: outcome unobservable "
@@ -274,7 +282,12 @@ def _cmd_run(args: argparse.Namespace) -> int:
     return 0 if result.passed else 1
 
 
-def _sweep_report_json(report, args) -> None:
+def _quarantined(store) -> int:
+    """Records the ``--cache`` replay dropped (0 without a store)."""
+    return store.quarantined_records if store is not None else 0
+
+
+def _sweep_report_json(report, args, quarantined_records: int) -> None:
     import json
 
     payload = {
@@ -284,7 +297,7 @@ def _sweep_report_json(report, args) -> None:
         "programs": report.programs,
         "outcomes_checked": report.outcomes_checked,
         "resumed": report.resumed,
-        "quarantined_records": report.quarantined_records,
+        "quarantined_records": quarantined_records,
         "exact": report.exact,
         "unsound": [formatted for formatted, _ in report.unsound],
         "overstrict": [formatted for formatted, _ in report.overstrict],
@@ -296,15 +309,16 @@ def _sweep_report_json(report, args) -> None:
     print(f"report written to {args.report_json}")
 
 
-def _run_generated_sweep(model, args, signal_state, resume_hint):
+def _run_generated_sweep(model, args, store):
     """Sweep a generated corpus: stream programs from the template
-    enumerator and feed :func:`run_sweep` in chunks, so journaling
-    bounds crash loss and memory stays flat at 10k+ programs.
+    enumerator and feed :func:`run_sweep` in chunks, so memory stays
+    flat at 10k+ programs.
 
-    Chunk 2+ opens the journal with ``resume=True`` (a fresh open would
-    truncate the earlier chunks' records); reports merge in enumeration
-    order, so the final digest is identical to a single-shot sweep and
-    to any ``--jobs`` count.
+    Every chunk runs on the one ``store``, and fault-plan sites count
+    tasks across chunks.  Reports merge in enumeration order, so the
+    final digest is identical to a single-shot sweep and to any
+    ``--jobs`` count.  Raises :class:`InterruptedRun` carrying the
+    merged partial report.
     """
     import itertools
 
@@ -320,72 +334,58 @@ def _run_generated_sweep(model, args, signal_state, resume_hint):
     stream = (program for _, program in iter_programs(spec))
     if limit is not None:
         stream = itertools.islice(stream, limit)
+    plan = _fault_plan(args.inject_faults)
+    submitted = 0
     total = ExactnessReport()
-    first = True
-    interrupted = None
     while True:
         chunk = list(itertools.islice(stream, chunk_size))
         if not chunk:
-            break
-        resume = args.resume if first else True
-        first = False
+            return total
+        interrupted = None
         try:
             report = run_sweep(
                 model, programs=chunk, jobs=args.jobs,
-                budget=_check_budget(args.timeout),
-                journal_path=args.journal or None, resume=resume,
-                fault_plan=_fault_plan(args.inject_faults))
+                budget=_check_budget(args.timeout), store=store,
+                fault_plan=plan.shifted(submitted) if plan else None)
         except InterruptedRun as exc:
-            report = exc.partial
-            interrupted = exc
+            report, interrupted = exc.partial, exc
+        submitted += report.programs - report.resumed
         total.programs += report.programs
         total.resumed += report.resumed
-        total.quarantined_records += report.quarantined_records
-        total.quarantined_path = report.quarantined_path or \
-            total.quarantined_path
         merge_program_results(
             total, [(report.outcomes_checked, report.unsound,
                      report.overstrict, report.undecided)])
         if interrupted is not None:
-            print(total.summary())
-            _print_interrupt(interrupted, resume_hint)
-            return None, _interrupt_exit_code(signal_state)
-    return total, None
+            interrupted.partial = total
+            raise interrupted
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
-    from .check import verify_exactness
+    from .check import SWEEP_CODEC, verify_exactness
     from .errors import InterruptedRun
 
     model = _load_model(args.model)
     signal_state = _convert_sigterm()
-    resume_hint = (f"rtl2uspec sweep --journal {args.journal} --resume"
-                   + (f" --generate {args.generate}" if args.generate else "")
-                   + (f" --model {args.model}" if args.model else ""))
-    if args.generate:
-        report, exit_code = _run_generated_sweep(model, args, signal_state,
-                                                 resume_hint)
-        if report is None:
-            return exit_code
-    else:
-        try:
+    store = _open_cache(args.cache, SWEEP_CODEC)
+    try:
+        if args.generate:
+            report = _run_generated_sweep(model, args, store)
+        else:
             report = verify_exactness(
                 model, max_threads=args.threads, max_len=args.length,
                 limit=args.limit, jobs=args.jobs,
-                budget=_check_budget(args.timeout),
-                journal_path=args.journal or None, resume=args.resume,
+                budget=_check_budget(args.timeout), store=store,
                 fault_plan=_fault_plan(args.inject_faults))
-        except InterruptedRun as exc:
-            print(exc.partial.summary())
-            _print_interrupt(exc, resume_hint)
-            return _interrupt_exit_code(signal_state)
-    if report.quarantined_records:
-        print(f"warning: {report.quarantined_records} corrupt journal "
-              f"record(s) quarantined to {report.quarantined_path}; they "
-              f"were re-executed", file=sys.stderr)
+    except InterruptedRun as exc:
+        print(exc.partial.summary())
+        _print_interrupt(exc, _rerun_hint(args))
+        return _interrupt_exit_code(signal_state)
+    finally:
+        if store is not None:
+            store.close()
     print(report.summary())
     if args.report_json:
-        _sweep_report_json(report, args)
+        _sweep_report_json(report, args, _quarantined(store))
     for kind, entries in (("UNSOUND", report.unsound),
                           ("OVERSTRICT", report.overstrict),
                           ("UNDECIDED", report.undecided)):
@@ -681,14 +681,12 @@ def _add_service_flags(parser: argparse.ArgumentParser) -> None:
 
 def _add_resilience_flags(parser: argparse.ArgumentParser,
                           what: str) -> None:
-    """The shared --journal/--resume/--timeout/--inject-faults flags."""
-    parser.add_argument("--journal", default="",
-                        help=f"append-only {what} journal (JSONL) for "
-                             f"crash/Ctrl-C checkpointing")
-    parser.add_argument("--resume", action="store_true",
-                        help="replay an existing --journal instead of "
-                             "starting it fresh (already-decided work is "
-                             "not re-executed)")
+    """The shared --cache/--timeout/--inject-faults flags."""
+    parser.add_argument("--cache", default="",
+                        help="verdict store file (JSONL): decided work "
+                             "is replayed, not re-checked, and an "
+                             "interrupted run resumes by re-running the "
+                             "same command")
     parser.add_argument("--timeout", type=float, default=0.0,
                         help=f"per-{what} wall-clock budget in seconds "
                              f"(0 = unlimited; exhaustion yields a "
@@ -832,8 +830,8 @@ def main(argv: Optional[List[str]] = None) -> int:
                               "caps the corpus prefix)")
     p_sweep.add_argument("--chunk", type=int, default=500,
                          help="programs per run_sweep chunk with "
-                              "--generate (journaling bounds crash loss; "
-                              "digest is chunk-size invariant)")
+                              "--generate (memory stays flat; the digest "
+                              "is chunk-size invariant)")
     p_sweep.add_argument("--show", type=int, default=3,
                          help="mismatching tests to print")
     p_sweep.add_argument("-j", "--jobs", type=int, default=1,
@@ -848,15 +846,15 @@ def main(argv: Optional[List[str]] = None) -> int:
         help="end-to-end parse -> synth -> check with crash-safe stage "
              "checkpoints (kill it anywhere; --resume continues)")
     p_pipe.add_argument("--state-dir", default="pipeline-state",
-                        help="directory for stage checkpoints, journals, "
-                             "and final artifacts")
+                        help="directory for stage checkpoints, verdict "
+                             "stores, and final artifacts")
     p_pipe.add_argument("--design", choices=("multi", "unicore"),
                         default="multi",
                         help="bundled design: the 4-core multi-V-scale "
                              "case study or the fast scoped unicore")
     p_pipe.add_argument("--resume", action="store_true",
                         help="continue from the state directory's last "
-                             "checkpoint (stages and journaled work are "
+                             "checkpoint (stages and stored verdicts are "
                              "not re-executed; final artifacts are "
                              "byte-identical to an uninterrupted run)")
     p_pipe.add_argument("-j", "--jobs", type=int, default=1,
@@ -883,7 +881,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     p_serve = sub.add_parser(
         "serve",
         help="persistent verification daemon: warm workers, a crash-safe "
-             "job ledger, and a persistent verdict/bitblast store "
+             "job ledger, and a persistent verdict store "
              "(kill -9 safe; clients use submit/status/result)")
     _add_service_flags(p_serve)
     p_serve.add_argument("--workers", type=int, default=1,

@@ -46,6 +46,7 @@ from ..errors import SynthesisError
 from ..formal import PropertyChecker, VerdictStore
 from ..formal.scheduler import DischargeScheduler, DischargeStats
 from ..netlist import HierNetlist, Netlist
+from ..resilience.faults import FaultPlan
 from ..sva import ComposedSvaFactory, EventSpec, InstrSpec, SvaFactory
 from ..uspec import Model
 from .emitter import emit_model
@@ -177,8 +178,11 @@ class Rtl2Uspec:
     already holds are served without re-execution.  ``check_timeout``
     is the per-SVA wall-clock budget in seconds; a check that exhausts
     it yields an UNKNOWN verdict whose hypothesized edge is kept
-    conservatively.  The class is a context manager; exiting it
-    releases the discharge worker pool.
+    conservatively.  ``fault_plan`` (a
+    :class:`repro.resilience.FaultPlan`) injects deterministic faults
+    into the discharge pool for the fault-tolerance tests.  The class
+    is a context manager; exiting it releases the discharge worker
+    pool.
     """
 
     def __init__(self, sim_netlist: Netlist, formal_netlist: Netlist,
@@ -192,7 +196,8 @@ class Rtl2Uspec:
                  verdicts: Optional[VerdictStore] = None,
                  check_timeout: Optional[float] = None,
                  hier: Optional[HierNetlist] = None,
-                 compose: bool = False):
+                 compose: bool = False,
+                 fault_plan: Optional[FaultPlan] = None):
         metadata.validate(sim_netlist)
         self.sim_netlist = sim_netlist
         self.formal_netlist = formal_netlist
@@ -229,7 +234,8 @@ class Rtl2Uspec:
         self.scheduler = DischargeScheduler(self.checker, self.factory, jobs=jobs,
                                             verdicts=verdicts,
                                             timeout_seconds=check_timeout,
-                                            dedupe=compose)
+                                            dedupe=compose,
+                                            fault_plan=fault_plan)
         # State populated during synthesis:
         self.sva_records: List[SvaRecord] = []
         self.hbi_records: List[HbiRecord] = []

@@ -89,11 +89,11 @@ class ResilienceError(ReproError):
 class InterruptedRun(ReproError):
     """A run was interrupted (SIGINT/SIGTERM) after checkpointing.
 
-    Raised by the crash-safe runners *after* committing their journals,
+    Raised by the crash-safe runners *after* committing their stores,
     carrying whatever completed before the interrupt so the CLI can
     print partial results and a resume recipe.  ``partial`` holds the
     completed items (layer-specific); ``resumable`` says whether a
-    journal exists to resume from.
+    store or checkpoint exists to resume from.
     """
 
     def __init__(self, message: str, partial=None, resumable: bool = False):

@@ -21,7 +21,6 @@ from .engine import (
     SafetyProblem,
     Verdict,
 )
-from .faults import FaultPlan, FaultyPropertyChecker
 from .scheduler import DischargeScheduler, DischargeStats
 from .trace import Trace, extract_trace, trace_to_vcd
 from .unroll import Unroller
@@ -47,8 +46,6 @@ __all__ = [
     "PropertyChecker",
     "DischargeScheduler",
     "DischargeStats",
-    "FaultPlan",
-    "FaultyPropertyChecker",
     "PROVEN",
     "REFUTED",
     "PROVEN_BOUNDED",

@@ -382,13 +382,10 @@ class BlastCache:
             return entry
         self.misses += 1
         entry = blast_cone(netlist, roots, frozen_inputs)
-        self._remember(key, entry)
-        return entry
-
-    def _remember(self, key, entry) -> None:
         self._entries[key] = entry
         while len(self._entries) > self.capacity:
             self._entries.popitem(last=False)
+        return entry
 
     def stats(self) -> Dict[str, int]:
         return {

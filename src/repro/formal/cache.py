@@ -1,33 +1,42 @@
-"""One verdict store for property checks.
+"""One verdict store for every persisted decision.
 
-Synthesis discharges a hundred-plus SVAs; across repeat runs (tests,
-benchmarks, regenerating models, re-running an interrupted command)
-most problems are byte-identical.  :func:`problem_fingerprint` keys a
-:class:`SafetyProblem` by a canonical hash of its netlist and property
-wiring plus the checker parameters, and :class:`VerdictStore` maps
-that fingerprint to a verdict (without its trace: nothing downstream
-of discharge reads one).
+Synthesis discharges a hundred-plus SVAs, and the Check layer decides
+56 litmus tests or hundreds of sweep programs; across repeat runs
+(tests, benchmarks, regenerating models, re-running an interrupted
+command) most problems are byte-identical.  The caller keys each
+problem by a content fingerprint (:func:`problem_fingerprint` for an
+SVA, :func:`repro.check.runner.test_fingerprint` and
+:func:`repro.check.runner.program_fingerprint` for the Check layer)
+and :class:`VerdictStore` maps that fingerprint to the decision.
+
+What a store holds is set by its :class:`RecordCodec`: the file's
+format tag, how a value is encoded to a JSON-safe entry and decoded
+back, and which entries are decided.  :data:`SVA_CODEC` (the default)
+holds property-check verdicts without their traces: nothing
+downstream of discharge reads one.
 
 The store is an in-memory tier over at most one backend:
 
 * a JSONL file in the :class:`repro.resilience.journal.Journal` format
-  (``synth --cache`` and the pipeline's ``synth.jsonl``).  The file is
-  also the checkpoint: verdicts are appended and fsynced per batch, a
-  torn or corrupt tail is quarantined on replay, and re-running an
-  interrupted command replays every verdict it had decided;
+  (``synth``/``check``/``sweep --cache`` and the pipeline's
+  ``synth.jsonl`` and ``check.jsonl``).  The file is also the
+  checkpoint: decisions are appended and fsynced per batch, a torn or
+  corrupt tail is quarantined on replay, and re-running an interrupted
+  command replays every decision it had made.  A file of one codec
+  opened with another raises :class:`repro.errors.JournalError`;
 * an :class:`repro.service.store.ArtifactStore` namespace (the
   service's warm workers), written through on every record.
 
-Only decided verdicts reach a backend.  UNKNOWN is shaped by the run's
-budget (timeout/conflict caps), which :func:`problem_fingerprint`
-deliberately excludes; persisting one would let a tightly-budgeted run
+Only decided entries reach a backend.  An UNKNOWN or TIMEOUT is shaped
+by the run's budget (timeout/conflict caps), which the fingerprints
+deliberately exclude; persisting one would let a tightly-budgeted run
 poison every later run with a larger budget for the same problem.
 """
 
 from __future__ import annotations
 
 import hashlib
-from typing import Dict, Optional
+from typing import Callable, Dict, NamedTuple, Optional
 
 from ..netlist import Netlist, netlist_fingerprint
 from ..resilience.journal import Journal
@@ -96,18 +105,34 @@ def problem_fingerprint(problem, bound: int, max_k: int) -> str:
     return hasher.hexdigest()
 
 
-class _VerdictFile(Journal):
-    """The file backend: one checksummed record per decided verdict."""
+class RecordCodec(NamedTuple):
+    """How one kind of decision is stored."""
 
-    format = "rtl2uspec-verdict-journal"
+    #: the file's format tag; a file of another kind will not replay
+    format: str
+    #: value -> JSON-safe entry
+    encode: Callable[[object], Dict]
+    #: entry -> value (a replayed value)
+    decode: Callable[[Dict], object]
+    #: True for a well-formed entry that may be persisted and replayed
+    decided: Callable[[object], bool]
 
-    def _valid_entry(self, entry) -> bool:
-        return isinstance(entry, dict) and \
-            entry.get("status") in VERDICT_STATUSES
+
+#: property-check verdicts (synthesis)
+SVA_CODEC = RecordCodec("rtl2uspec-verdict-journal", encode_verdict,
+                        decode_verdict, _decided)
+
+
+class _StoreFile(Journal):
+    """The file backend: one checksummed record per decided entry."""
+
+    def __init__(self, path: str, resume: bool, format: str):
+        self.format = format
+        super().__init__(path, resume=resume)
 
 
 class VerdictStore:
-    """Maps problem fingerprints to verdicts.
+    """Maps problem fingerprints to decisions, stored by ``codec``.
 
     ``path`` selects the file backend: ``resume=True`` replays an
     existing file (a missing one starts empty), ``resume=False``
@@ -116,21 +141,23 @@ class VerdictStore:
 
     :meth:`lookup` reads memory, then the backend, and counts hits and
     misses.  :meth:`record` always writes memory and persists only a
-    decided verdict; the file makes it durable on :meth:`commit`, the
+    decided entry; the file makes it durable on :meth:`commit`, the
     artifact store at once.  A refused store write (full disk, byte
     budget) only costs cross-process reuse and counts in
     :attr:`store_write_errors`.
     """
 
     def __init__(self, path: Optional[str] = None, resume: bool = True,
-                 artifacts=None):
-        self._file = _VerdictFile(path, resume=resume) if path else None
+                 artifacts=None, codec: RecordCodec = SVA_CODEC):
+        self._codec = codec
+        self._file = _StoreFile(path, resume, codec.format) if path \
+            else None
         self._artifacts = artifacts
-        #: fingerprint -> encoded verdict; the file backend's replayed
-        #: records (UNKNOWN written by older versions is dropped)
+        #: fingerprint -> encoded entry; the file backend's replayed
+        #: records (an UNKNOWN written by older versions is dropped)
         self._memory: Dict[str, Dict] = {} if self._file is None else {
             fingerprint: entry for fingerprint, entry in self._file.items()
-            if _decided(entry)}
+            if codec.decided(entry)}
         self.hits = 0
         self.misses = 0
         #: lookups served from the artifact store rather than memory
@@ -148,11 +175,12 @@ class VerdictStore:
         return self._file.quarantined_records if self._file is not None \
             else 0
 
-    def lookup(self, fingerprint: str) -> Optional[Verdict]:
+    def lookup(self, fingerprint: str):
+        """The stored value for ``fingerprint``, or None."""
         entry = self._memory.get(fingerprint)
         if entry is None and self._artifacts is not None:
             entry = self._artifacts.get_json(VERDICT_NAMESPACE, fingerprint)
-            if _decided(entry):
+            if self._codec.decided(entry):
                 self._memory[fingerprint] = entry
                 self.store_hits += 1
             else:
@@ -163,13 +191,14 @@ class VerdictStore:
             self.misses += 1
             return None
         self.hits += 1
-        return decode_verdict(entry)
+        return self._codec.decode(entry)
 
-    def record(self, fingerprint: str, verdict: Verdict) -> None:
-        entry = encode_verdict(verdict)
-        persisted = _decided(self._memory.get(fingerprint))
+    def record(self, fingerprint: str, value) -> None:
+        decided = self._codec.decided
+        entry = self._codec.encode(value)
+        persisted = decided(self._memory.get(fingerprint))
         self._memory[fingerprint] = entry
-        if persisted or not _decided(entry):
+        if persisted or not decided(entry):
             return
         if self._file is not None:
             self._file.record_entry(fingerprint, entry)

@@ -140,18 +140,15 @@ class PropertyChecker:
     def __init__(self, bound: int = 14, max_k: int = 12,
                  max_conflicts: Optional[int] = None,
                  timeout_seconds: Optional[float] = None,
-                 blast_cache_size: int = 64,
-                 blast_cache: Optional[BlastCache] = None):
+                 blast_cache_size: int = 64):
         self.bound = bound
         self.max_k = max_k
         self.max_conflicts = max_conflicts
         self.timeout_seconds = timeout_seconds
         self.blast_cache_size = blast_cache_size
-        # ``blast_cache`` injects a custom cache (e.g. the service's
-        # store-backed PersistentBlastCache); workers unpickling this
-        # checker still rebuild a plain in-memory cache (__setstate__).
-        self._blast_cache: BlastCache = blast_cache if \
-            blast_cache is not None else BlastCache(blast_cache_size)
+        # Workers unpickling this checker rebuild an empty cache
+        # (__setstate__).
+        self._blast_cache = BlastCache(blast_cache_size)
         #: cumulative statistics across check() calls; the ``sat_*``
         #: counters and ``arena_bytes`` feed ``--profile-sat`` (the
         #: scheduler sums worker deltas key-by-key, so ``arena_bytes``

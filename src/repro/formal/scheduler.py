@@ -30,11 +30,11 @@ simulated timeout (:class:`DischargeTimeout`), or a garbage verdict is
 retried with bounded backoff on a rebuilt executor, and after
 ``max_retries`` failures the obligation runs inline in the parent — a
 crashing worker can change the wall clock, never the synthesized model.
-A :class:`repro.formal.faults.FaultyPropertyChecker` hands the
-scheduler a fault plan, which the pool fires at plan-order task
-indices.  Checks that exhaust their own wall-clock/conflict budgets
-return first-class UNKNOWN verdicts, which downstream consumers treat
-conservatively.
+A :class:`repro.resilience.faults.FaultPlan` handed to the scheduler
+(the fault-tolerance tests' harness) is fired by the pool at
+plan-order task indices.  Checks that exhaust their own
+wall-clock/conflict budgets return first-class UNKNOWN verdicts,
+which downstream consumers treat conservatively.
 
 Checkpointing: the store records each freshly decided verdict as the
 pool finalizes it and is committed (fsynced, for the file backend)
@@ -55,11 +55,11 @@ from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Tuple
 
 from ..errors import FormalError
+from ..resilience.faults import FaultPlan
 from ..resilience.pool import PoolStats, WorkerPool, resolve_jobs, \
     worker_state
 from .cache import VerdictStore, problem_fingerprint
 from .engine import VERDICT_STATUSES, CheckParams, PropertyChecker, Verdict
-from .faults import FaultyPropertyChecker
 
 
 # ----------------------------------------------------------------------
@@ -179,10 +179,10 @@ class DischargeStats:
 class DischargeScheduler:
     """Executes obligation graphs against a property checker.
 
-    ``checker`` is a :class:`PropertyChecker`; a
-    :class:`FaultyPropertyChecker` around one hands its fault plan to
-    the worker pool.  ``verdicts`` attaches a :class:`VerdictStore`,
-    probed at plan time and fed every fresh decided verdict.
+    ``checker`` is a :class:`PropertyChecker`; ``fault_plan`` (a
+    :class:`FaultPlan`) is handed to the worker pool.  ``verdicts``
+    attaches a :class:`VerdictStore`, probed at plan time and fed
+    every fresh decided verdict.
     ``jobs<=0`` means ``os.cpu_count()``.
 
     Fault-tolerance knobs: ``timeout_seconds`` is the per-SVA
@@ -194,13 +194,14 @@ class DischargeScheduler:
     the exponential backoff between retry waves.
     """
 
-    def __init__(self, checker, factory, jobs: int = 1,
+    def __init__(self, checker: PropertyChecker, factory, jobs: int = 1,
                  verdicts: Optional[VerdictStore] = None,
                  timeout_seconds: Optional[float] = None,
                  watchdog_seconds: Optional[float] = None,
                  max_retries: int = 3,
                  retry_backoff: float = 0.05,
-                 dedupe: bool = False):
+                 dedupe: bool = False,
+                 fault_plan: Optional[FaultPlan] = None):
         self.jobs = resolve_jobs(jobs)
         self.factory = factory
         #: compose mode: fingerprint share-base problems at plan time and
@@ -208,10 +209,7 @@ class DischargeScheduler:
         #: the first instance's verdict instead of spawning a check
         self.dedupe = dedupe
         self._decided: Dict[str, Verdict] = {}
-        fault_plan = None
-        if isinstance(checker, FaultyPropertyChecker):
-            checker, fault_plan = checker
-        self._engine: PropertyChecker = checker
+        self._engine = checker
         self._verdicts = verdicts
         self._params = CheckParams(timeout_seconds=timeout_seconds)
         self.stats = DischargeStats(jobs=self.jobs)

@@ -13,9 +13,10 @@ supervised stages with durable checkpoints in a state directory:
 * ``synth.jsonl`` — the file of the formal layer's verdict store (the
   format ``synth --cache`` reads).  A pipeline killed mid-synthesis
   resumes without re-discharging a single recorded SVA.
-* ``check.jsonl`` — the Check layer's suite journal.  A pipeline
-  killed mid-verification resumes without re-solving a single
-  journaled litmus test.
+* ``check.jsonl`` — the same store holding litmus-suite verdicts
+  (the format ``check --cache`` reads).  A pipeline killed
+  mid-verification resumes without re-solving a single recorded
+  litmus test.
 
 The contract (pinned by the pipeline integration tests): kill the
 pipeline at *any* point — mid-synth, mid-check, between stages — and
@@ -63,9 +64,9 @@ class PipelineConfig:
     bound: Optional[int] = None
     max_k: Optional[int] = None
     candidates: Optional[List[str]] = None
-    #: test hooks: wrap the property checker (e.g. fault injection) and
-    #: inject deterministic faults into the check stage's pool
-    checker_factory: Optional[Callable[[object], object]] = None
+    #: test hooks: deterministic faults for the synth stage's discharge
+    #: pool and the check stage's pool
+    synth_fault_plan: Optional[FaultPlan] = None
     check_fault_plan: Optional[FaultPlan] = None
     #: progress sink (the CLI passes print; tests leave it silent)
     echo: Callable[[str], None] = lambda _line: None
@@ -249,15 +250,13 @@ class Pipeline:
         if self.config.candidates is not None:
             candidates = self.config.candidates
         checker = PropertyChecker(bound=bound, max_k=max_k)
-        if self.config.checker_factory is not None:
-            checker = self.config.checker_factory(checker)
         resume = os.path.exists(self.synth_journal) and self.config.resume
         verdicts = VerdictStore(self.synth_journal, resume=resume)
         if verdicts.quarantined_records:
             self.config.echo(
                 f"[synth] warning: {verdicts.quarantined_records} corrupt "
-                f"journal record(s) quarantined to {verdicts.quarantined}; "
-                f"they will be re-executed")
+                f"record(s) quarantined to {verdicts.quarantined}; they "
+                f"will be re-executed")
         if resume and len(verdicts):
             self.config.echo(f"[synth] resuming: {len(verdicts)} verdict(s) "
                              f"replayed from {self.synth_journal}")
@@ -268,7 +267,8 @@ class Pipeline:
                            checker=checker, formal_cores=formal_cores,
                            candidate_filter=candidates,
                            jobs=self.config.jobs, verdicts=verdicts,
-                           check_timeout=self.config.synth_timeout
+                           check_timeout=self.config.synth_timeout,
+                           fault_plan=self.config.synth_fault_plan
                            ) as synthesizer:
                 result = synthesizer.synthesize()
         except KeyboardInterrupt as exc:
@@ -286,17 +286,18 @@ class Pipeline:
         self.config.echo(f"[synth] model written to {self.model_path}")
 
     def _run_check(self) -> List:
-        from .check import run_suite, suite_report_json
+        from .check import SUITE_CODEC, run_suite, suite_report_json
+        from .formal import VerdictStore
         from .litmus import load_suite
         from .uspec import parse_model
         # Always verify against the *artifact* (not the in-memory
-        # model), so fresh and resumed runs key their journals — and
+        # model), so fresh and resumed runs key their stores — and
         # produce their reports — from the exact same bytes.
         with open(self.model_path, "r", encoding="utf-8") as handle:
             model = parse_model(handle.read())
         tests = load_suite()
         if self._stage_done("check"):
-            # Verdicts still need re-deriving (journal replay makes it
+            # Verdicts still need re-deriving (store replay makes it
             # cheap) so the PipelineResult carries them; only solving
             # is skipped.
             self._verify_artifact("check")
@@ -306,22 +307,25 @@ class Pipeline:
         resume = os.path.exists(self.check_journal) and self.config.resume
         budget = Budget(timeout_seconds=self.config.check_timeout) \
             if self.config.check_timeout else None
+        store = VerdictStore(self.check_journal, resume=resume,
+                             codec=SUITE_CODEC)
+        if store.quarantined_records:
+            self.config.echo(
+                f"[check] warning: {store.quarantined_records} corrupt "
+                f"record(s) quarantined to {store.quarantined}; they will "
+                f"be re-executed")
         self.config.echo(f"[check] verifying {len(tests)} litmus test(s)")
         try:
             run = run_suite(model, tests, jobs=self.config.jobs,
-                            budget=budget,
-                            journal_path=self.check_journal, resume=resume,
+                            budget=budget, store=store,
                             fault_plan=self.config.check_fault_plan)
         except KeyboardInterrupt as exc:
             raise InterruptedRun(
                 "pipeline interrupted during check; completed verdicts "
                 f"are checkpointed in {self.check_journal}",
                 resumable=True) from exc
-        if run.quarantined_records:
-            self.config.echo(
-                f"[check] warning: {run.quarantined_records} corrupt "
-                f"journal record(s) quarantined to {run.quarantined_path}; "
-                f"they were re-executed")
+        finally:
+            store.close()
         if run.resumed:
             self.config.echo(f"[check] resumed: {run.resumed} verdict(s) "
                              f"replayed from {self.check_journal}")
@@ -344,7 +348,7 @@ class Pipeline:
         """Execute (or resume) the pipeline; see the module docstring.
 
         Raises :class:`InterruptedRun` on Ctrl-C/SIGTERM (state and
-        journals committed — re-run with ``resume=True``) and
+        stores committed — re-run with ``resume=True``) and
         :class:`PipelineError` when a checkpoint fails verification.
         """
         preset = self._run_parse()

@@ -33,7 +33,7 @@ byte-identical fault-free output.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import FrozenSet, Optional
 
 from ..errors import CheckError
@@ -82,6 +82,17 @@ class FaultPlan:
 
     def sites(self) -> FrozenSet[int]:
         return self.crashes | self.hangs | self.garbage | self.interrupts
+
+    def shifted(self, offset: int) -> "FaultPlan":
+        """The plan as seen by a run whose task 0 is this plan's task
+        ``offset`` (one chunk of a longer run); earlier sites drop."""
+        def shift(sites: FrozenSet[int]) -> FrozenSet[int]:
+            return frozenset(site - offset for site in sites
+                             if site >= offset)
+        return replace(self, crashes=shift(self.crashes),
+                       hangs=shift(self.hangs),
+                       garbage=shift(self.garbage),
+                       interrupts=shift(self.interrupts))
 
 
 def parse_fault_spec(spec: str) -> Optional[FaultPlan]:

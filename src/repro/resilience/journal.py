@@ -1,8 +1,9 @@
 """Append-only, per-record checksummed JSONL checkpoint journals.
 
-A base class any layer keys its own records under: the formal layer's
-verdict store file (:class:`repro.formal.cache.VerdictStore`), the
-Check layer's suite and sweep journals, and the service's job ledger.
+A base class any layer keys its own records under: the file backend
+of :class:`repro.formal.cache.VerdictStore` (SVA verdicts, suite
+verdicts and sweep results, one format tag each) and the service's
+job ledger.
 The format is deliberately dumb — one self-describing header line,
 then one JSON object per record — because the failure mode it must
 survive is a process dying mid-write:
@@ -21,8 +22,8 @@ survive is a process dying mid-write:
 
 Appends accumulate in memory until :meth:`commit`, which writes,
 flushes, and fsyncs them; callers commit once per batch so at most one
-batch of work can ever be lost.  Subclasses pin :attr:`format` and
-override :meth:`_valid_entry` to type-check replayed entries.
+batch of work can ever be lost.  Subclasses set :attr:`format` and
+may override :meth:`_valid_entry` to type-check replayed entries.
 """
 
 from __future__ import annotations
@@ -59,8 +60,6 @@ class Journal:
         self._entries: Dict[str, Dict] = {}
         self._pending: Dict[str, Dict] = {}
         self._handle = None
-        #: records served from the journal after replay
-        self.hits = 0
         #: path the last corrupt/torn tail was moved to (None if clean)
         self.quarantined: Optional[str] = None
         #: non-empty lines dropped from a corrupt/torn tail on resume
@@ -166,14 +165,6 @@ class Journal:
     # ------------------------------------------------------------------
     # Recording
     # ------------------------------------------------------------------
-    def lookup_entry(self, key: str) -> Optional[Dict]:
-        """The replayed/recorded entry for ``key`` (counts as a hit)."""
-        entry = self._entries.get(key)
-        if entry is None:
-            return None
-        self.hits += 1
-        return entry
-
     def record_entry(self, key: str, entry: Dict) -> None:
         """Stage one record; durable after the next :meth:`commit`."""
         self._entries[key] = entry

@@ -2,8 +2,8 @@
 
 Each worker is a long-lived process holding a
 :class:`~repro.service.jobs.WorkerContext` — elaborated designs,
-retained solvers, store-backed caches — so consecutive jobs skip the
-cold-start cost that dominates one-shot CLI runs.  The supervisor
+retained solvers, a store-backed verdict store — so consecutive jobs
+skip the cold-start cost that dominates one-shot CLI runs.  The supervisor
 (:class:`WorkerFleet`) keeps that warmth *safe*:
 
 * **heartbeats** — a worker thread pings the supervisor every

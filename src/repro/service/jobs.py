@@ -21,8 +21,8 @@ between jobs — the reason ``repro serve`` exists:
   retained solvers, in-memory BlastCache and verdicts survive across
   jobs;
 * the persistent store tier (the verdict store's artifact-store
-  backend and :mod:`repro.service.caches`), so verdict and bitblast
-  reuse also crosses process and daemon restarts.
+  backend), so verdict reuse also crosses process and daemon
+  restarts.
 """
 
 from __future__ import annotations
@@ -32,7 +32,6 @@ from typing import Dict, Optional, Tuple
 
 from ..errors import ServiceError
 from ..resilience import Budget
-from .caches import PersistentBlastCache
 from .store import ArtifactStore
 
 JOB_KINDS = ("parse", "synth", "check", "sweep", "generate", "bench")
@@ -160,11 +159,10 @@ class WorkerContext:
     """Per-worker warm state: elaborated designs, retained checkers,
     and the persistent store tier."""
 
-    def __init__(self, store_root: str, blast_capacity: int = 64,
+    def __init__(self, store_root: str,
                  store_byte_budget: Optional[int] = None):
         self.store = ArtifactStore(store_root,
                                    byte_budget=store_byte_budget)
-        self.blast_capacity = blast_capacity
         self._presets: Dict[str, Tuple] = {}
         self._checkers: Dict[Tuple, object] = {}
         #: jobs executed by this context (recycling bookkeeping)
@@ -180,20 +178,16 @@ class WorkerContext:
     def checker(self, design: str, bound: int, max_k: int,
                 timeout: Optional[float]) -> Tuple:
         """The ``(PropertyChecker, VerdictStore)`` pair of one problem
-        shape, kept warm across jobs.  Its blast cache and verdict
-        store are store-backed, so a cold *process* still starts warm
-        from disk.  The store never holds an UNKNOWN (the scheduler
-        records decided verdicts only), so a job's budget never leaks
-        into a later job's result."""
+        shape, kept warm across jobs.  The verdict store is
+        store-backed, so a cold *process* still starts warm from disk
+        and runs no check it has a verdict for.  The store never holds
+        an UNKNOWN (the scheduler records decided verdicts only), so a
+        job's budget never leaks into a later job's result."""
         key = (design, bound, max_k)
         if key not in self._checkers:
             from ..formal import PropertyChecker, VerdictStore
-            self._checkers[key] = (
-                PropertyChecker(
-                    bound=bound, max_k=max_k,
-                    blast_cache=PersistentBlastCache(self.store,
-                                                     self.blast_capacity)),
-                VerdictStore(artifacts=self.store))
+            self._checkers[key] = (PropertyChecker(bound=bound, max_k=max_k),
+                                   VerdictStore(artifacts=self.store))
         checker, verdicts = self._checkers[key]
         # Per-job budget without losing the warm caches.
         checker.timeout_seconds = timeout
@@ -275,7 +269,6 @@ def _run_synth(params: Dict, ctx: WorkerContext):
                    candidate_filter=candidates, jobs=1) as synthesizer:
         result = synthesizer.synthesize()
     engine_stats = checker.stats
-    blast_cache = checker._blast_cache
     summary = {
         "design": params["design"],
         "verdict_digest": result.verdict_digest(),
@@ -284,10 +277,7 @@ def _run_synth(params: Dict, ctx: WorkerContext):
             "blast_hits": int(engine_stats.get("blast_hits", 0)),
             "blast_misses": int(engine_stats.get("blast_misses", 0)),
         },
-        "store": {
-            "blast_hits": getattr(blast_cache, "store_hits", 0),
-            "verdict_hits": verdicts.store_hits,
-        },
+        "store": {"verdict_hits": verdicts.store_hits},
     }
     artifact = format_model(result.model).encode("utf-8")
     return summary, artifact, "model.uarch"
@@ -415,7 +405,7 @@ def _run_bench(params: Dict, ctx: WorkerContext):
             run = run_suite(model, tests, jobs=1, budget=budget)
             times_ms.append(round((time.perf_counter() - started) * 1e3, 3))
             digest = suite_digest(run.verdicts)
-        store_counters = {"blast_hits": 0, "verdict_hits": 0}
+        store_counters = {"verdict_hits": 0}
         engine_counters = {}
         detail = {"tests": len(tests)}
     payload = {

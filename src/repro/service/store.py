@@ -2,14 +2,13 @@
 
 One entry per file, under ``<root>/<namespace>/<kk>/<key>`` where
 ``kk`` is the first two hex digits of the (already content-derived)
-key — the same canonical fingerprints the in-memory caches use:
-:func:`repro.formal.cache.problem_fingerprint` for verdicts,
-:func:`repro.netlist.netlist_fingerprint`-based blast keys for blasted
-designs.  The entry format is a single JSON header line followed by
-the raw payload bytes::
+key — the same canonical fingerprints the in-memory caches use
+(:func:`repro.formal.cache.problem_fingerprint` for verdicts).  The
+entry format is a single JSON header line followed by the raw payload
+bytes::
 
     {"format":"repro-store-entry","version":1,"namespace":...,
-     "key":...,"codec":"json"|"pickle","sha256":...,"size":N}\\n
+     "key":...,"codec":"json"|"bytes","sha256":...,"size":N}\\n
     <payload bytes>
 
 Durability and integrity are the point of this module:
@@ -43,8 +42,8 @@ undercounting.
 ``byte_budget`` is a fault-injection shim for the service chaos
 harness: once the session has written that many payload bytes, every
 further :meth:`put_bytes` raises ``ENOSPC`` — the deterministic stand-
-in for a full disk.  Callers (the persistent caches) must degrade to
-cache misses, never to failed jobs.
+in for a full disk.  Callers (the verdict store, artifact writes) must
+degrade to cache misses, never to failed jobs.
 """
 
 from __future__ import annotations
@@ -55,7 +54,6 @@ import fcntl
 import hashlib
 import json
 import os
-import pickle
 import tempfile
 import time
 from typing import Dict, List, Optional, Tuple
@@ -268,27 +266,6 @@ class ArtifactStore:
         except (json.JSONDecodeError, UnicodeDecodeError):
             return None
         return decoded if isinstance(decoded, dict) else None
-
-    def put_pickle(self, namespace: str, key: str, value: object) -> None:
-        self.put_bytes(namespace, key,
-                       pickle.dumps(value, protocol=pickle.HIGHEST_PROTOCOL),
-                       codec="pickle")
-
-    def get_pickle(self, namespace: str, key: str) -> Optional[object]:
-        entry = self.get_bytes(namespace, key)
-        if entry is None:
-            return None
-        payload, codec = entry
-        if codec != "pickle":
-            return None
-        try:
-            return pickle.loads(payload)
-        except Exception:
-            # sha256 matched, so this is a schema change (e.g. an entry
-            # pickled by an older code version), not disk corruption —
-            # still: quarantine and recompute.
-            self._quarantine(self._entry_path(namespace, key))
-            return None
 
     # ------------------------------------------------------------------
     # Maintenance: scan / verify / gc

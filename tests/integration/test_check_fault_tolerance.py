@@ -9,9 +9,11 @@ statistics, never verdicts.
 
 import pytest
 
-from repro.check import run_suite, suite_digest, verify_exactness
+from repro.check import (SUITE_CODEC, SWEEP_CODEC, run_suite, suite_digest,
+                         verify_exactness)
 from repro.check.verifier import _verdict_projection
 from repro.errors import InterruptedRun
+from repro.formal import VerdictStore
 from repro.resilience import Budget, FaultPlan
 
 TRANSIENT = FaultPlan(crashes=frozenset({0}), hangs=frozenset({4}),
@@ -50,14 +52,15 @@ class TestInterruptResumeParity:
             self, reference_model, litmus_suite, clean_suite, tmp_path, jobs):
         journal = str(tmp_path / f"check-{jobs}.jsonl")
         plan = FaultPlan(interrupts=frozenset({20}))
-        with pytest.raises(InterruptedRun) as excinfo:
+        with pytest.raises(InterruptedRun) as excinfo, \
+                VerdictStore(journal, codec=SUITE_CODEC) as store:
             run_suite(reference_model, litmus_suite, jobs=jobs,
-                      journal_path=journal,
+                      store=store,
                       fault_plan=plan)
         assert excinfo.value.resumable
-        resumed = run_suite(reference_model, litmus_suite, jobs=jobs,
-                            journal_path=journal,
-                            resume=True)
+        with VerdictStore(journal, codec=SUITE_CODEC) as store:
+            resumed = run_suite(reference_model, litmus_suite, jobs=jobs,
+                                store=store)
         assert resumed.resumed >= 1  # checkpointed verdicts were replayed
         projection, digest = clean_suite
         assert _verdict_projection(resumed.verdicts) == projection
@@ -85,13 +88,14 @@ class TestBudgetExpiry:
     def test_undecided_verdicts_are_retried_on_resume(
             self, reference_model, litmus_suite, tmp_path):
         journal = str(tmp_path / "check.jsonl")
-        starved = run_suite(reference_model, litmus_suite[:4], jobs=1,
-                            journal_path=journal,
-                            budget=Budget(timeout_seconds=1e-9))
+        with VerdictStore(journal, codec=SUITE_CODEC) as store:
+            starved = run_suite(reference_model, litmus_suite[:4], jobs=1,
+                                store=store,
+                                budget=Budget(timeout_seconds=1e-9))
         assert all(not v.decided for v in starved.verdicts)
-        retried = run_suite(reference_model, litmus_suite[:4], jobs=1,
-                            journal_path=journal,
-                            resume=True)
+        with VerdictStore(journal, codec=SUITE_CODEC) as store:
+            retried = run_suite(reference_model, litmus_suite[:4], jobs=1,
+                                store=store)
         assert retried.resumed == 0  # TIMEOUT verdicts were never journaled
         assert all(v.decided for v in retried.verdicts)
 
@@ -113,14 +117,15 @@ class TestSweepFaultTolerance:
             self, reference_model, clean_sweep, tmp_path):
         journal = str(tmp_path / "sweep.jsonl")
         plan = FaultPlan(interrupts=frozenset({6}))
-        with pytest.raises(InterruptedRun) as excinfo:
+        with pytest.raises(InterruptedRun) as excinfo, \
+                VerdictStore(journal, codec=SWEEP_CODEC) as store:
             verify_exactness(reference_model, limit=16, jobs=1,
-                             journal_path=journal,
+                             store=store,
                              fault_plan=plan)
         assert excinfo.value.resumable
-        report = verify_exactness(reference_model, limit=16, jobs=1,
-                                  journal_path=journal,
-                                  resume=True)
+        with VerdictStore(journal, codec=SWEEP_CODEC) as store:
+            report = verify_exactness(reference_model, limit=16, jobs=1,
+                                      store=store)
         assert report.resumed >= 1
         assert report.digest() == clean_sweep.digest()
 

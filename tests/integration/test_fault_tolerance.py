@@ -15,12 +15,8 @@ import pytest
 from repro.core import Rtl2Uspec
 from repro.designs import load_unicore, unicore_metadata
 from repro.errors import WorkerCrashError
-from repro.formal import (
-    FaultPlan,
-    FaultyPropertyChecker,
-    PropertyChecker,
-    VerdictStore,
-)
+from repro.formal import PropertyChecker, VerdictStore
+from repro.resilience import FaultPlan
 from repro.uspec import format_model
 
 CANDIDATES = ["ir_de", "gpr", "dstore.cells"]
@@ -31,15 +27,16 @@ TRANSIENT = FaultPlan(crashes=frozenset({0}), hangs=frozenset({4}),
                       garbage=frozenset({2}))
 
 
-def synthesizer(checker, jobs=1, verdicts=None):
+def synthesizer(checker, jobs=1, verdicts=None, fault_plan=None):
     return Rtl2Uspec(
         load_unicore(), load_unicore(formal=True), unicore_metadata(),
         checker=checker, formal_cores=1, candidate_filter=CANDIDATES,
-        jobs=jobs, verdicts=verdicts)
+        jobs=jobs, verdicts=verdicts, fault_plan=fault_plan)
 
 
-def synthesize(checker, jobs=1, verdicts=None):
-    with synthesizer(checker, jobs=jobs, verdicts=verdicts) as synth:
+def synthesize(checker, jobs=1, verdicts=None, fault_plan=None):
+    with synthesizer(checker, jobs=jobs, verdicts=verdicts,
+                     fault_plan=fault_plan) as synth:
         return synth.synthesize()
 
 
@@ -56,9 +53,8 @@ def golden_bytes(golden):
 
 class TestFaultedRunsConverge:
     def test_serial_faulted_run_is_byte_identical(self, golden, golden_bytes):
-        checker = FaultyPropertyChecker(
-            PropertyChecker(bound=10, max_k=1), TRANSIENT)
-        result = synthesize(checker, jobs=1)
+        result = synthesize(PropertyChecker(bound=10, max_k=1), jobs=1,
+                            fault_plan=TRANSIENT)
         assert format_model(result.model).encode("utf-8") == golden_bytes
         stats = result.discharge_stats
         # All three injection sites fired and were retried away.
@@ -72,9 +68,8 @@ class TestFaultedRunsConverge:
         # jobs=4 makes the crash site a *real* worker death (os._exit):
         # the parent must survive BrokenProcessPool, rebuild the pool,
         # and still emit the fault-free model.
-        checker = FaultyPropertyChecker(
-            PropertyChecker(bound=10, max_k=1), TRANSIENT)
-        result = synthesize(checker, jobs=4)
+        result = synthesize(PropertyChecker(bound=10, max_k=1), jobs=4,
+                            fault_plan=TRANSIENT)
         assert format_model(result.model).encode("utf-8") == golden_bytes
         stats = result.discharge_stats
         assert stats.worker_crashes >= 1
@@ -82,9 +77,8 @@ class TestFaultedRunsConverge:
         assert stats.faults_observed() >= 1
 
     def test_verdict_sequences_match_fault_free(self, golden):
-        checker = FaultyPropertyChecker(
-            PropertyChecker(bound=10, max_k=1), TRANSIENT)
-        result = synthesize(checker, jobs=1)
+        result = synthesize(PropertyChecker(bound=10, max_k=1), jobs=1,
+                            fault_plan=TRANSIENT)
         assert [(r.signature, r.verdict.status) for r in result.sva_records] \
             == [(r.signature, r.verdict.status) for r in golden.sva_records]
 
@@ -101,10 +95,9 @@ class TestInterruptAndResume:
         # before it is checkpointed in the journal.
         plan = FaultPlan(crashes=frozenset({total - 1}),
                          hard_crashes=False, attempts=99)
-        crashing = FaultyPropertyChecker(PropertyChecker(bound=10, max_k=1),
-                                         plan)
         journal = VerdictStore(path, resume=False)
-        with synthesizer(crashing, verdicts=journal) as synth:
+        with synthesizer(PropertyChecker(bound=10, max_k=1),
+                         verdicts=journal, fault_plan=plan) as synth:
             with pytest.raises(WorkerCrashError):
                 synth.synthesize()
         journal.close()

@@ -2,14 +2,15 @@
 
 The contract under test: feeding :func:`run_sweep` an explicit
 generated-program list produces a report digest invariant to job
-count, chunk size, and journal resume — including resuming with a
-*smaller* limit than the journal holds.
+count, chunk size, and store resume — including resuming with a
+*smaller* limit than the store holds.
 """
 
 import itertools
 
-from repro.check import ExactnessReport, run_sweep
+from repro.check import SWEEP_CODEC, ExactnessReport, run_sweep
 from repro.check.exhaustive import merge_program_results
+from repro.formal import VerdictStore
 from repro.litmus.generator import iter_programs, parse_spec
 
 SPEC = "threads=2,len=2,fences=full"
@@ -21,15 +22,11 @@ def _corpus(limit=LIMIT):
             itertools.islice(iter_programs(parse_spec(SPEC)), limit)]
 
 
-def _chunked_sweep(model, programs, chunk_size, jobs, journal_path):
+def _chunked_sweep(model, programs, chunk_size, jobs, store):
     total = ExactnessReport()
-    first = True
     for start in range(0, len(programs), chunk_size):
         chunk = programs[start:start + chunk_size]
-        report = run_sweep(model, programs=chunk, jobs=jobs,
-                           journal_path=journal_path,
-                           resume=not first)
-        first = False
+        report = run_sweep(model, programs=chunk, jobs=jobs, store=store)
         total.programs += report.programs
         total.resumed += report.resumed
         merge_program_results(
@@ -43,10 +40,14 @@ class TestGeneratedSweepParity:
                                                    tmp_path):
         programs = _corpus()
         whole = run_sweep(reference_model, programs=programs, jobs=1)
-        chunked_serial = _chunked_sweep(reference_model, programs, 7, 1,
-                                        str(tmp_path / "serial.jsonl"))
-        chunked_parallel = _chunked_sweep(reference_model, programs, 7, 4,
-                                          str(tmp_path / "parallel.jsonl"))
+        with VerdictStore(str(tmp_path / "serial.jsonl"),
+                          codec=SWEEP_CODEC) as store:
+            chunked_serial = _chunked_sweep(reference_model, programs, 7, 1,
+                                            store)
+        with VerdictStore(str(tmp_path / "parallel.jsonl"),
+                          codec=SWEEP_CODEC) as store:
+            chunked_parallel = _chunked_sweep(reference_model, programs, 7,
+                                              4, store)
         assert whole.exact
         assert whole.digest() == chunked_serial.digest()
         assert whole.digest() == chunked_parallel.digest()
@@ -61,17 +62,18 @@ class TestGeneratedSweepParity:
         assert report.programs == LIMIT
 
     def test_resume_with_smaller_limit(self, reference_model, tmp_path):
-        """A journal written at limit N must satisfy a later run with
-        limit M < N entirely from the journal (regression: the resumed
+        """A store written at limit N must satisfy a later run with
+        limit M < N entirely from the store (regression: the resumed
         run used to re-derive its own cap and mismatch)."""
         journal = str(tmp_path / "sweep.jsonl")
         programs = _corpus()
-        full = run_sweep(reference_model, programs=programs,
-                         journal_path=journal)
-        resumed = run_sweep(reference_model, programs=programs[:10],
-                            journal_path=journal, resume=True)
+        with VerdictStore(journal, codec=SWEEP_CODEC) as store:
+            full = run_sweep(reference_model, programs=programs, store=store)
+        with VerdictStore(journal, codec=SWEEP_CODEC) as store:
+            resumed = run_sweep(reference_model, programs=programs[:10],
+                                store=store)
         assert resumed.programs == 10
-        assert resumed.resumed == 10  # all served from the journal
+        assert resumed.resumed == 10  # all served from the store
         fresh = run_sweep(reference_model, programs=programs[:10])
         assert resumed.digest() == fresh.digest()
         assert full.digest() != fresh.digest()  # different corpora differ

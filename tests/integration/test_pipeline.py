@@ -13,7 +13,6 @@ import json
 import pytest
 
 from repro.errors import InterruptedRun, PipelineError
-from repro.formal import FaultyPropertyChecker
 from repro.pipeline import PipelineConfig, run_pipeline
 from repro.resilience import FaultPlan
 
@@ -66,9 +65,7 @@ class TestKillAndResume:
         state = tmp_path / "pipeline-faulted"
         # Attempt 0: die partway through SVA discharge.
         synth_kill = _config(
-            state,
-            checker_factory=lambda c: FaultyPropertyChecker(
-                c, FaultPlan(interrupts=frozenset({5}))))
+            state, synth_fault_plan=FaultPlan(interrupts=frozenset({5})))
         with pytest.raises(InterruptedRun) as excinfo:
             run_pipeline(synth_kill)
         assert excinfo.value.resumable

@@ -75,15 +75,16 @@ def test_check_bad_fault_spec_is_usage_error(capsys, reference_model):
 
 def test_check_injected_interrupt_exits_130_and_resumes(
         capsys, reference_model, tmp_path):
-    journal = str(tmp_path / "check.jsonl")
-    code = main(["check", "mp", "sb", "lb", "--journal", journal,
-                 "--inject-faults", "interrupt:1"])
+    import shlex
+    argv = ["check", "mp", "sb", "lb", "--cache", str(tmp_path / "c.jsonl")]
+    code = main(argv + ["--inject-faults", "interrupt:1"])
     captured = capsys.readouterr()
     assert code == 130
     assert "interrupted" in captured.err
-    assert "--resume" in captured.err  # resume hint
-    assert main(["check", "mp", "sb", "lb", "--journal", journal,
-                 "--resume"]) == 0
+    # resume hint: the same command
+    assert f"resume with: rtl2uspec {shlex.join(argv)} --inject-faults " \
+        f"interrupt:1" in captured.err
+    assert main(argv) == 0
     out = capsys.readouterr().out
     assert "resumed: 1 verdict(s) replayed" in out
     assert "ALL TESTS PASS" in out
@@ -106,7 +107,7 @@ def test_check_interrupt_without_journal_is_not_resumable(
     assert main(["check", "mp", "sb",
                  "--inject-faults", "interrupt:0"]) == 130
     err = capsys.readouterr().err
-    assert "--journal" in err  # points at how to make runs resumable
+    assert "--cache" in err  # points at how to make runs resumable
 
 
 def test_check_budget_expiry_is_conservative(capsys, reference_model):
@@ -134,14 +135,14 @@ def test_show_graph_names_replayed_observable_verdicts(capsys, tmp_path):
     model.axioms = [a for a in model.axioms if a.name != "Read_Values"]
     path = tmp_path / "permissive.uarch"
     path.write_text(format_model(model))
-    journal = str(tmp_path / "check.jsonl")
+    cache = str(tmp_path / "check.jsonl")
     argv = ["check", "mp", "--model", str(path), "--show-graph",
-            "--journal", journal]
+            "--cache", cache]
     assert main(argv) == 1
     assert "== witness µhb graph: mp ==" in capsys.readouterr().out
-    assert main(argv + ["--resume"]) == 1
+    assert main(argv) == 1
     out = capsys.readouterr().out
-    assert "replayed by --resume" in out
+    assert "replayed from --cache" in out
     assert "unobservable" not in out
 
 
@@ -273,6 +274,35 @@ class TestSweepGenerateCli:
             with open(report, "r", encoding="utf-8") as handle:
                 digests[jobs] = json.load(handle)["digest"]
         assert digests["1"] == digests["2"]
+
+    def test_interrupted_chunked_sweep_resumes_by_rerunning(
+            self, tmp_path, capsys, reference_model):
+        """One ``--cache`` store spans every chunk: interrupted in the
+        second chunk, the same command (without the fault) replays
+        every program decided before the interrupt."""
+        import json
+        import shlex
+
+        from repro.check import SWEEP_CODEC
+        from repro.formal import VerdictStore
+        sweep = ["sweep", "--generate", "threads=2,len=2", "--limit", "20",
+                 "--chunk", "7"]
+        clean = tmp_path / "clean.json"
+        assert main(sweep + ["--report-json", str(clean)]) == 0
+        cache = str(tmp_path / "sweep.jsonl")
+        argv = sweep + ["--cache", cache]
+        faulted = argv + ["--inject-faults", "interrupt:10"]
+        assert main(faulted) == 130
+        err = capsys.readouterr().err
+        assert f"resume with: rtl2uspec {shlex.join(faulted)}" in err
+        with VerdictStore(cache, codec=SWEEP_CODEC) as store:
+            decided = len(store)
+        assert decided == 10  # chunk 1 (7) and 3 programs of chunk 2
+        resumed = tmp_path / "resumed.json"
+        assert main(argv + ["--report-json", str(resumed)]) == 0
+        payload = json.loads(resumed.read_text())
+        assert payload["resumed"] == decided
+        assert payload["digest"] == json.loads(clean.read_text())["digest"]
 
 
 class TestBugmatrixCli:

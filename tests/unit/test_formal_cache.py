@@ -245,11 +245,11 @@ class TestBudgetVerdictsNeverPersist:
         assert reloaded.lookup("f" * 64) is None
 
     def test_pre_fix_file_with_unknown_entry_filtered_on_load(self, tmp_path):
-        from repro.formal.cache import _VerdictFile
+        from repro.formal.cache import SVA_CODEC, _StoreFile
 
         path = str(tmp_path / "cache.jsonl")
         # Older verdict journals recorded UNKNOWN like any verdict.
-        with _VerdictFile(path) as older:
+        with _StoreFile(path, False, SVA_CODEC.format) as older:
             older.record_entry("f" * 64, {
                 "status": "UNKNOWN", "method": "bmc", "bound": 10,
                 "time_seconds": 0.1, "reason": "timeout"})

@@ -153,13 +153,13 @@ class TestParallelDischarge:
 # change verdicts, only statistics.
 # ----------------------------------------------------------------------
 from repro.errors import DischargeTimeout, FormalError, WorkerCrashError  # noqa: E402
-from repro.formal import FaultPlan, FaultyPropertyChecker  # noqa: E402
+from repro.resilience import FaultPlan  # noqa: E402
 
 
 def faulty_scheduler(factory, plan, jobs=1, **kwargs):
-    checker = FaultyPropertyChecker(PropertyChecker(bound=12, max_k=2), plan)
-    return DischargeScheduler(checker, factory, jobs=jobs,
-                              retry_backoff=0.0, **kwargs)
+    return DischargeScheduler(PropertyChecker(bound=12, max_k=2), factory,
+                              jobs=jobs, retry_backoff=0.0,
+                              fault_plan=plan, **kwargs)
 
 
 def two_wire_graph():

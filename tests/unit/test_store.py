@@ -2,7 +2,6 @@
 verification, quarantine-and-recompute, LRU gc, counters."""
 
 import hashlib
-import json
 import os
 
 import pytest
@@ -11,7 +10,6 @@ from repro.errors import StoreError
 from repro.service import ArtifactStore
 from repro.formal import VerdictStore
 from repro.formal.cache import VERDICT_NAMESPACE
-from repro.service.caches import PersistentBlastCache, blast_store_key
 
 KEY_A = hashlib.sha256(b"a").hexdigest()
 KEY_B = hashlib.sha256(b"b").hexdigest()
@@ -29,12 +27,10 @@ class TestRoundTrip:
         assert store.get_bytes("ns", KEY_A) == (b"hello world", "bytes")
         assert store.hits == 1 and store.writes == 1
 
-    def test_json_and_pickle_round_trip(self, tmp_path):
+    def test_json_round_trip(self, tmp_path):
         store = ArtifactStore(str(tmp_path / "store"))
         store.put_json("ns", KEY_A, {"x": 1})
-        store.put_pickle("ns", KEY_B, {"y": (1, 2)})
         assert store.get_json("ns", KEY_A) == {"x": 1}
-        assert store.get_pickle("ns", KEY_B) == {"y": (1, 2)}
 
     def test_missing_entry_is_a_miss(self, tmp_path):
         store = ArtifactStore(str(tmp_path / "store"))
@@ -43,8 +39,8 @@ class TestRoundTrip:
 
     def test_codec_mismatch_is_a_miss(self, tmp_path):
         store = ArtifactStore(str(tmp_path / "store"))
-        store.put_json("ns", KEY_A, {"x": 1})
-        assert store.get_pickle("ns", KEY_A) is None
+        store.put_bytes("ns", KEY_A, b'{"x": 1}')
+        assert store.get_json("ns", KEY_A) is None
 
     def test_invalid_namespace_and_key_rejected(self, tmp_path):
         store = ArtifactStore(str(tmp_path / "store"))
@@ -245,48 +241,6 @@ class TestPersistentCaches:
         cache = VerdictStore(artifacts=store)
         assert cache.lookup(fingerprint) is None  # quarantined, miss
         assert store.corrupt == 1
-
-    def test_blast_cache_round_trips_by_content_key(self, tmp_path):
-        from repro.designs import load_unicore
-
-        netlist = load_unicore(formal=True)
-        roots = sorted(netlist.outputs)[:1]
-        root = str(tmp_path / "store")
-        with ArtifactStore(root) as store:
-            cache = PersistentBlastCache(store)
-            cone1, blasted1 = cache.get(netlist, roots, [])
-            assert cache.misses == 1 and cache.store_hits == 0
-        # New session, new in-memory tier: the store must satisfy it.
-        with ArtifactStore(root) as store:
-            cache = PersistentBlastCache(store)
-            cone2, blasted2 = cache.get(netlist, roots, [])
-            assert cache.store_hits == 1 and cache.hits == 1
-        assert sorted(blasted2.wire_lits) == sorted(blasted1.wire_lits)
-        assert blasted2.frozen_inputs == blasted1.frozen_inputs
-        key = blast_store_key(netlist, roots, [])
-        assert store.get_pickle("blast", key) is not None
-
-    def test_corrupt_blast_entry_recomputes(self, tmp_path):
-        from repro.designs import load_unicore
-        from repro.service.caches import BLAST_NAMESPACE
-
-        netlist = load_unicore(formal=True)
-        roots = sorted(netlist.outputs)[:1]
-        store = ArtifactStore(str(tmp_path / "store"))
-        cache = PersistentBlastCache(store)
-        _cone0, blasted0 = cache.get(netlist, roots, [])
-        key = blast_store_key(netlist, roots, [])
-        path = entry_path(store, BLAST_NAMESPACE, key)
-        raw = bytearray(open(path, "rb").read())
-        raw[len(raw) // 2] ^= 0xFF
-        with open(path, "wb") as handle:
-            handle.write(raw)
-        fresh = PersistentBlastCache(store)
-        cone, blasted = fresh.get(netlist, roots, [])  # recomputed
-        assert fresh.misses == 1 and fresh.store_hits == 0
-        assert store.corrupt == 1
-        assert sorted(blasted.wire_lits) == sorted(blasted0.wire_lits)
-        assert cone.stats() == _cone0.stats()
 
 
 class TestStoreLock:
