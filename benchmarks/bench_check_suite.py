@@ -6,15 +6,17 @@ each at ``--jobs 1`` and ``--jobs N``.
 Each workload has one decision path: a suite test is decided by
 ``solve_observability`` (fresh ground+encode+solve), a sweep program by
 ``ProgramSolver`` (one retained solver per program, its conditions
-decided in one ``solve_batch`` pass).  The job counts must produce the
-identical report (asserted); timings land in ``BENCH_check.json``.
+decided in turn).  The job counts must produce the identical report
+(asserted); timings land in ``BENCH_check.json``.
 
-When the record's schema changes, the previous record is nested whole
-under ``before``; otherwise its ``before`` is carried over unchanged.
+The record already at ``--output`` is nested whole under ``before``,
+so running the script on a parent commit and then on a change, in one
+session and against one file, gives a parent-versus-change record.
 The nested records keep the frozen A/B rows: the fresh-versus-
 incremental stages of both workloads, the unbatched ``incremental-seq``
-engine, the per-clause-object SAT core and the 41.9 s all-pairs seed
-sweep from before the SCC-local acyclicity encoding.
+engine, the per-clause-object SAT core, the 41.9 s all-pairs seed
+sweep and the SCC-local reachability encoding that lazy cycle cuts
+replaced.
 
 With ``--serve STATE_DIR`` the same workloads run against an already
 running ``repro serve`` fleet instead of in-process: ``bench`` jobs
@@ -244,9 +246,7 @@ def main(argv=None):
     before = None
     if os.path.exists(args.output):
         with open(args.output, "r", encoding="utf-8") as handle:
-            previous = json.load(handle)
-        before = previous.get("before") \
-            if previous.get("schema") == SCHEMA else previous
+            before = json.load(handle)
     record = {
         "schema": SCHEMA,
         "scope": scope,

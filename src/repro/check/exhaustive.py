@@ -59,11 +59,14 @@ class ExactnessReport:
     undecided: List[Tuple[str, Tuple]] = field(default_factory=list)
     #: programs replayed from the store (diagnostic, not digested)
     resumed: int = 0
+    #: an interrupted sweep's report: ``programs`` counts only the
+    #: programs decided, and exactness is not established
+    partial: bool = False
 
     @property
     def exact(self) -> bool:
         return not self.unsound and not self.overstrict and \
-            not self.undecided
+            not self.undecided and not self.partial
 
     def summary(self) -> str:
         if self.exact:
@@ -74,6 +77,8 @@ class ExactnessReport:
             if self.undecided:
                 parts.append(f"{len(self.undecided)} undecided")
             status = " / ".join(parts)
+            if self.partial:
+                status = f"INCOMPLETE ({status} so far)"
         note = f" ({self.resumed} resumed)" if self.resumed else ""
         return (f"{self.programs} programs, {self.outcomes_checked} outcomes "
                 f"checked{note}: {status}")
@@ -177,19 +182,10 @@ def _check_program(model, program: Program,
         return checked, unsound, overstrict, undecided
     instance = ProgramSolver(
         model, LitmusTest("sweep", program, conditions[0]))
-    # One solve_batch call decides every condition sharing the common
-    # assumption prefix; budgeted runs need a per-condition clock, so
-    # they stay sequential.
-    batch = None
-    if budget is None:
-        batch = instance.decide_batch(conditions)
-    for index, condition in enumerate(conditions):
+    results = instance.decide_batch(conditions, budget)
+    for condition, result in zip(conditions, results):
         test = LitmusTest("sweep", program, condition)
         permitted = any(test.outcome_matches(o) for o in reference)
-        if batch is not None:
-            result = batch[index]
-        else:
-            result = instance.decide(condition, clock=budget.start())
         checked += 1
         if not result.decided:
             undecided.append((test.format(), condition))

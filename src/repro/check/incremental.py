@@ -35,17 +35,17 @@ import time
 from typing import Dict, Iterable, List, Optional, Tuple
 
 from ..litmus import LitmusTest
-from ..resilience import DECIDED, TIMEOUT, BudgetClock
-from ..resilience import UNKNOWN as _UNDECIDED
+from ..resilience import DECIDED, TIMEOUT, Budget, BudgetClock
 from ..sat import SAT, UNSAT, ArenaSolver, Cnf
 from ..uspec import ast as U
 from .evaluator import ModelEvaluator, _Unsatisfiable
 from .instance import GroundContext, Microop
 from .solver import (
+    EdgeIndex,
     ObservabilityResult,
     SolveStats,
-    _add_order_constraints,
     _final_write_options,
+    solve_acyclic,
     solve_observability,
 )
 
@@ -144,11 +144,13 @@ class ProgramSolver:
     ``decide(condition)`` returns the same verdict
     :func:`repro.check.solver.solve_observability` would for a
     :class:`LitmusTest` with that final condition — pinned by the
-    decider cross-check tests — but amortizes grounding, the order
-    encoding, and the solver's learned clauses across all conditions of
-    the program.  It draws no witness graph: only ``check
-    --show-graph`` needs one, and the suite is decided by
-    ``solve_observability``.
+    decider cross-check tests — but amortizes grounding, the cycle
+    cuts and the solver's learned clauses across all conditions of the
+    program.  Consecutive conditions share a prefix of their selector
+    assumptions; after a SAT answer the next solve keeps that prefix's
+    decision levels instead of re-propagating them.  It draws no
+    witness graph: only ``check --show-graph`` needs one, and the
+    suite is decided by ``solve_observability``.
     """
 
     def __init__(self, model: U.Model, test: LitmusTest):
@@ -161,9 +163,13 @@ class ProgramSolver:
         self.always_unsat = False
         self.mem_fallback = False
         self.solver = None
+        self.edges: Optional[EdgeIndex] = None
         self.stats = SolveStats()
         self.decides = 0
         self.fresh_fallbacks = 0
+        #: the assumptions the last SAT answer left on the solver's
+        #: trail (UNSAT and budget exits backtrack to level 0)
+        self._on_trail: Optional[List[int]] = None
         try:
             self.evaluator.ground_model()
         except _Unsatisfiable:
@@ -172,8 +178,7 @@ class ProgramSolver:
             self.always_unsat = True
         if not self.always_unsat:
             self._encode_final_memory()
-            self.stats.order_components = _add_order_constraints(
-                self.evaluator)
+            self.edges = EdgeIndex.of(self.evaluator.edge_vars)
             self.solver = ArenaSolver()
             self.solver.add_cnf(self.cnf)
         self.stats.vars = self.cnf.num_vars
@@ -278,83 +283,47 @@ class ProgramSolver:
             return self._fresh_fallback(condition, clock)
         if kind is self._UNSAT:
             return self._result(False, start)
+        keep = 0
+        for kept, assumption in zip(self._on_trail or (), assumptions):
+            if kept != assumption:
+                break
+            keep += 1
         solve_start = time.perf_counter()
-        status = self.solver.solve(
-            assumptions=assumptions,
-            **(clock.solve_args() if clock is not None else {}))
+        status, calls, cuts = solve_acyclic(
+            self.solver, self.edges, assumptions, clock, keep)
         solve_seconds = time.perf_counter() - solve_start
+        self._on_trail = assumptions if status == SAT else None
         self.stats.solve_seconds += solve_seconds
-        if status not in (SAT, UNSAT):
-            return self._result(False, start,
-                                solve_seconds=solve_seconds,
-                                status=clock.degraded_status())
-        return self._result(status == SAT, start,
-                            solve_seconds=solve_seconds)
+        self.stats.cycle_cuts += cuts
+        return self._result(status == SAT, start, solve_seconds=solve_seconds,
+                            status=DECIDED if status in (SAT, UNSAT)
+                            else clock.degraded_status(),
+                            iterations=calls, cuts=cuts)
 
-    def decide_batch(self, conditions: Iterable[Condition]
+    def decide_batch(self, conditions: Iterable[Condition],
+                     budget: Optional[Budget] = None
                      ) -> List[ObservabilityResult]:
-        """Decide many final conditions in one batched solver pass.
-
-        Verdict-identical to calling :meth:`decide` per condition
-        (pinned by the batch-equivalence tests), but all solvable
-        conditions go through a single
-        :meth:`~repro.sat.solver.BatchedSolveMixin.solve_batch` call,
-        which skips re-propagating the shared assumption prefix between
-        consecutive conditions.  Conditions planned as fallbacks or
-        decided by construction resolve exactly as in :meth:`decide`.
-        Budgeted runs (a per-condition clock) use :meth:`decide`; this
-        path is for the unbudgeted bulk sweep.
-        """
-        conditions = [tuple(condition) for condition in conditions]
-        results: List[Optional[ObservabilityResult]] = [None] * len(conditions)
-        batch_indices: List[int] = []
-        assumption_sets: List[List[int]] = []
-        for i, condition in enumerate(conditions):
-            start = time.perf_counter()
-            self.decides += 1
-            kind, assumptions = self._plan(condition)
-            if kind is self._SOLVE:
-                batch_indices.append(i)
-                assumption_sets.append(assumptions)
-            elif kind is self._FALLBACK:
-                results[i] = self._fresh_fallback(condition)
-            else:
-                results[i] = self._result(False, start)
-        if not assumption_sets:
-            return results
-        last = [time.perf_counter()]
-
-        def on_result(j: int, status: str) -> None:
-            now = time.perf_counter()
-            solve_seconds = now - last[0]
-            last[0] = now
-            self.stats.solve_seconds += solve_seconds
-            i = batch_indices[j]
-            if status in (SAT, UNSAT):
-                results[i] = self._result(status == SAT, now - solve_seconds,
-                                          solve_seconds=solve_seconds)
-            else:  # pragma: no cover - no budget is threaded through
-                results[i] = self._result(False, now - solve_seconds,
-                                          solve_seconds=solve_seconds,
-                                          status=_UNDECIDED)
-
-        self.solver.solve_batch(assumption_sets, on_result=on_result)
-        return results
+        """:meth:`decide` each condition in order; ``budget`` (if any)
+        bounds each condition separately."""
+        return [self.decide(condition,
+                            clock=budget.start() if budget else None)
+                for condition in conditions]
 
     # ------------------------------------------------------------------
     def _result(self, observable: bool, start: float,
                 solve_seconds: float = 0.0,
-                status: str = DECIDED) -> ObservabilityResult:
+                status: str = DECIDED, iterations: int = 1,
+                cuts: int = 0) -> ObservabilityResult:
         stats = SolveStats(
             vars=self.stats.vars,
             clauses=self.stats.clauses,
-            order_components=self.stats.order_components,
+            cycle_cuts=cuts,
             # Grounding is amortized: charge it to the first decide so
             # suite totals stay meaningful.
             ground_seconds=self.stats.ground_seconds
             if self.decides == 1 else 0.0,
             solve_seconds=solve_seconds,
         )
-        return ObservabilityResult(observable, None, 1,
+        return ObservabilityResult(observable, None, iterations,
                                    time.perf_counter() - start, stats=stats,
                                    status=status)

@@ -341,6 +341,8 @@ def run_sweep(model: Model, *, max_threads: int = 2, max_len: int = 2,
             store.commit()
         merge_program_results(report, results)
         done = sum(1 for result in results if result is not None)
+        report.programs = done
+        report.partial = True
         raise InterruptedRun(
             f"sweep interrupted after {done}/{len(programs)} program(s)",
             partial=report, resumable=store is not None) from exc

@@ -73,9 +73,21 @@ def _print_interrupt(exc, resume_hint: str) -> None:
 
 
 def _rerun_hint(args: argparse.Namespace) -> str:
-    """The command line that resumes an interrupted run: the same one."""
+    """The command line that resumes an interrupted run: the same one,
+    less ``--inject-faults`` (a resumed run must not re-inject the
+    fault that stopped it)."""
     import shlex
-    return "rtl2uspec " + shlex.join(args.argv)
+    argv: List[str] = []
+    tokens = iter(args.argv)
+    for token in tokens:
+        name, sep, _ = token.partition("=")
+        # argparse also accepts any unambiguous prefix of the option.
+        if len(name) > 2 and "--inject-faults".startswith(name):
+            if not sep:
+                next(tokens, None)  # the separate SPEC argument
+            continue
+        argv.append(token)
+    return "rtl2uspec " + shlex.join(argv)
 
 
 def _open_cache(path: str, codec):
@@ -356,6 +368,7 @@ def _run_generated_sweep(model, args, store):
             total, [(report.outcomes_checked, report.unsound,
                      report.overstrict, report.undecided)])
         if interrupted is not None:
+            total.partial = True
             interrupted.partial = total
             raise interrupted
 

@@ -58,7 +58,6 @@ from .solver import (
     SAT,
     UNKNOWN,
     UNSAT,
-    BatchedSolveMixin,
     VsidsHeapMixin,
     luby,
 )
@@ -67,7 +66,7 @@ from .solver import (
 NO_REASON = -1
 
 
-class ArenaSolver(VsidsHeapMixin, BatchedSolveMixin):
+class ArenaSolver(VsidsHeapMixin):
     """CDCL over DIMACS-style integer literals, packed-arena storage.
 
     Typical use::
@@ -123,9 +122,6 @@ class ArenaSolver(VsidsHeapMixin, BatchedSolveMixin):
         self.propagations = 0
         #: learned-DB reductions actually performed (``--profile-sat``)
         self.reductions = 0
-        #: cumulative shared/total assumption levels across solve_batch
-        self.batch_shared_levels = 0
-        self.batch_assumption_levels = 0
         #: arena slots owned by removed clauses, reclaimed by _compact
         self.garbage = 0
         self.max_conflicts: Optional[int] = None
@@ -672,10 +668,13 @@ class ArenaSolver(VsidsHeapMixin, BatchedSolveMixin):
         ``time.perf_counter()`` instant: the search polls the clock
         every few conflicts and returns UNKNOWN once it is past due.
 
-        ``keep_levels`` (used by :meth:`solve_batch`) retains that many
-        leading decision levels from the previous call instead of
-        restarting at level 0; the caller guarantees they correspond to
-        a shared prefix of the new assumption list.
+        ``keep_levels`` retains that many leading decision levels from
+        the previous call instead of restarting at level 0.  Each
+        assumption occupies exactly one decision level, and only a SAT
+        exit leaves them on the trail, so the caller may keep the
+        prefix the new assumption list shares with the last SAT
+        answer's.  Verdicts are the same as with ``keep_levels=0``; the
+        search trajectory may differ.
         """
         # Reset before any early return: a caller inspecting the
         # failed-assumption set after a timed-out call must not read

@@ -11,15 +11,15 @@ for JasperGold).  It implements the standard modern architecture:
 * Luby-sequence restarts (:func:`luby`),
 * learned-clause database reduction ordered by LBD (glue), with the
   LBD recorded at learn time,
-* solving under assumptions (used for incremental BMC queries), one at
-  a time or batched with a shared trail prefix
-  (:class:`BatchedSolveMixin`).
+* solving under assumptions (used for incremental BMC queries),
+  optionally keeping the decision levels of an assumption prefix
+  shared with the previous SAT answer (``keep_levels``).
 """
 
 from __future__ import annotations
 
 import heapq
-from typing import List, Optional, Sequence
+from typing import Optional, Sequence
 
 from .cnf import Cnf
 
@@ -120,55 +120,6 @@ class VsidsHeapMixin:
             if litval[var] == 0:
                 return var
         return 0
-
-
-class BatchedSolveMixin:
-    """``solve_batch`` over any core exposing ``solve(keep_levels=...)``.
-
-    Consecutive assumption sets that share a prefix reuse the trail:
-    each assumption occupies exactly one (pseudo-)decision level, so
-    after a SAT answer the solver only backtracks to the first level
-    where the next set's assumptions diverge, skipping re-propagation
-    of the shared prefix.  Verdicts are identical to per-call
-    ``solve(assumptions=...)`` (pinned by the fuzz suite); trajectories
-    may legitimately differ.  ``batch_shared_levels`` /
-    ``batch_assumption_levels`` count the reused and the total
-    assumption levels (the fuzz suite checks them).
-    """
-
-    def solve_batch(self, assumption_sets: Sequence[Sequence[int]],
-                    max_conflicts: Optional[int] = None,
-                    deadline: Optional[float] = None,
-                    on_result=None) -> List[str]:
-        """Solve each assumption set in order; returns their statuses.
-
-        ``on_result(index, status)`` fires after each set while its
-        model (for SAT answers) is still intact, so callers can extract
-        witnesses before the next set reuses the solver.
-        """
-        results: List[str] = []
-        prev: Optional[List[int]] = None
-        for assumptions in assumption_sets:
-            assumptions = list(assumptions)
-            keep = 0
-            if prev is not None:
-                for a, b in zip(prev, assumptions):
-                    if a != b:
-                        break
-                    keep += 1
-            self.batch_shared_levels += keep
-            self.batch_assumption_levels += len(assumptions)
-            status = self.solve(assumptions=assumptions,
-                                max_conflicts=max_conflicts,
-                                deadline=deadline, keep_levels=keep)
-            results.append(status)
-            if on_result is not None:
-                on_result(len(results) - 1, status)
-            # Only a SAT exit leaves the assumption levels on the trail
-            # (UNSAT/UNKNOWN backtrack to level 0), so only then can the
-            # next set inherit a prefix.
-            prev = assumptions if status == SAT else None
-        return results
 
 
 def solve_cnf(cnf: Cnf, assumptions: Sequence[int] = (), max_conflicts: Optional[int] = None):

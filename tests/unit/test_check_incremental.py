@@ -34,7 +34,9 @@ class TestSuiteEquivalence:
             instance = ProgramSolver(hand_model, test)
             inc = instance.decide(test.final)
             assert inc.observable == fresh.observable, name
-            assert inc.iterations == 1
+            # One SAT call, plus one more per cycle cut.
+            assert inc.iterations == 1 + inc.stats.cycle_cuts, name
+            assert fresh.iterations == 1 + fresh.stats.cycle_cuts, name
 
     def test_many_conditions_one_program(self, hand_model):
         # Every load-value combination of mp, decided on one solver.
@@ -132,7 +134,8 @@ class TestEdgeCases:
         result = instance.decide(test.final)
         assert result.stats.vars > 0
         assert result.stats.clauses > 0
-        assert result.stats.order_components >= 1
+        assert result.iterations == 1 + result.stats.cycle_cuts
+        assert instance.stats.cycle_cuts == result.stats.cycle_cuts
 
 
 class TestDecideBatch:

@@ -208,6 +208,24 @@ LEGACY_SUITE = (
     '"permitted_sc":false,"iterations":1,"vars":194,"clauses":424},'
     '"c":"cc1cbc24ded5"}\n')
 
+#: ``rtl2uspec check mp sb --cache F`` as written today: only the
+#: diagnostic ``iterations``/``vars``/``clauses`` fields (and so the
+#: checksums) differ from LEGACY_SUITE, since acyclicity became lazy
+#: cycle cuts instead of an eager encoding
+FRESH_SUITE = (
+    '{"format":"rtl2uspec-check-suite-journal","version":2}\n'
+    '{"key":"b53bc19e242bf9035cea97bbba666a6afe173650db54d6a07dc001b96a807ba5",'
+    '"entry":{"name":"mp","status":"DECIDED","observable":false,'
+    '"permitted_sc":false,"iterations":2,"vars":122,"clauses":148},'
+    '"c":"8f358f18af17"}\n'
+    '{"key":"d5c2769a2e36f7c460eca2b91cad472a7dd09820201e28f39db0ec83edceb8b2",'
+    '"entry":{"name":"sb","status":"DECIDED","observable":false,'
+    '"permitted_sc":false,"iterations":2,"vars":126,"clauses":152},'
+    '"c":"621b206108b0"}\n')
+
+#: the encoded-entry fields that are solver statistics, not verdicts
+SUITE_STAT_FIELDS = ("iterations", "vars", "clauses")
+
 #: ``rtl2uspec sweep --limit 3 --journal F`` as written by the sweep
 #: journal the store replaced (reference model)
 LEGACY_SWEEP = (
@@ -235,10 +253,24 @@ class TestLegacyJournalFiles:
         out = capsys.readouterr().out
         assert "resumed: 2 verdict(s) replayed" in out
         assert "ALL TESTS PASS" in out
-        # A fresh --cache run writes the same bytes.
+        # A fresh --cache run writes the same records, but for the
+        # solver statistics.
         fresh = tmp_path / "fresh.jsonl"
         assert main(["check", "mp", "sb", "--cache", str(fresh)]) == 0
-        assert fresh.read_text() == LEGACY_SUITE
+        assert fresh.read_text() == FRESH_SUITE
+
+    def test_fresh_suite_differs_from_legacy_only_in_stats(self):
+        legacy = [json.loads(line) for line in LEGACY_SUITE.splitlines()]
+        fresh = [json.loads(line) for line in FRESH_SUITE.splitlines()]
+        assert legacy[0] == fresh[0]
+        assert len(legacy) == len(fresh)
+        for old, new in zip(legacy[1:], fresh[1:]):
+            assert old["key"] == new["key"]
+            assert old["c"] != new["c"]
+            for record in (old, new):
+                for name in SUITE_STAT_FIELDS:
+                    del record["entry"][name]
+            assert old["entry"] == new["entry"]
 
     def test_sweep_journal_file_replays_under_cache(self, tmp_path, capsys):
         path = tmp_path / "sweep.jsonl"

@@ -1,6 +1,6 @@
 """Unit tests for the observability solver's internals: cycle finding,
-deterministic memory-location inference, and the unified iteration
-count.  The order encoding has its own oracle tests in
+deterministic memory-location inference, and the iteration count.
+The cut loop has its own oracle tests in
 ``test_check_order_encoding.py``."""
 
 import subprocess
@@ -73,12 +73,14 @@ class TestIterationsUnified:
         assert not result.observable
         assert result.iterations == 1
 
-    def test_solver_unsat_counts_as_one_iteration(self):
+    def test_solver_unsat_counts_every_sat_call(self):
         model = sc_hand_model()
         test = suite_by_name()["sb"]  # SC-forbidden: needs the solver
         result = solve_observability(model, test)
         assert not result.observable
-        assert result.iterations == 1
+        # The first model closes the sb cycle; its cut leaves UNSAT.
+        assert result.stats.cycle_cuts >= 1
+        assert result.iterations == 1 + result.stats.cycle_cuts
 
 
 class TestMemoryLocationDeterminism:

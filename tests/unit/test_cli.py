@@ -81,13 +81,28 @@ def test_check_injected_interrupt_exits_130_and_resumes(
     captured = capsys.readouterr()
     assert code == 130
     assert "interrupted" in captured.err
-    # resume hint: the same command
-    assert f"resume with: rtl2uspec {shlex.join(argv)} --inject-faults " \
-        f"interrupt:1" in captured.err
+    # resume hint: the same command, without the injected fault
+    assert f"resume with: rtl2uspec {shlex.join(argv)}\n" in captured.err
+    assert "--inject-faults" not in captured.err
     assert main(argv) == 0
     out = capsys.readouterr().out
     assert "resumed: 1 verdict(s) replayed" in out
     assert "ALL TESTS PASS" in out
+
+
+@pytest.mark.parametrize("fault", [
+    ["--inject-faults", "interrupt:1"],
+    ["--inject-faults=interrupt:1"],
+    ["--inject", "interrupt:1"],
+])
+def test_rerun_hint_drops_injected_faults(fault):
+    import argparse
+
+    from repro.cli import _rerun_hint
+    argv = ["check", "mp", "sb", "lb", "--cache", "F"]
+    for at in (len(argv), 1):
+        args = argparse.Namespace(argv=argv[:at] + fault + argv[at:])
+        assert _rerun_hint(args) == "rtl2uspec check mp sb lb --cache F"
 
 
 def test_check_inline_hard_crash_is_retried_not_fatal(capsys,
@@ -294,7 +309,7 @@ class TestSweepGenerateCli:
         faulted = argv + ["--inject-faults", "interrupt:10"]
         assert main(faulted) == 130
         err = capsys.readouterr().err
-        assert f"resume with: rtl2uspec {shlex.join(faulted)}" in err
+        assert f"resume with: rtl2uspec {shlex.join(argv)}\n" in err
         with VerdictStore(cache, codec=SWEEP_CODEC) as store:
             decided = len(store)
         assert decided == 10  # chunk 1 (7) and 3 programs of chunk 2
@@ -303,6 +318,26 @@ class TestSweepGenerateCli:
         payload = json.loads(resumed.read_text())
         assert payload["resumed"] == decided
         assert payload["digest"] == json.loads(clean.read_text())["digest"]
+
+
+    def test_interrupted_chunked_sweep_counts_only_decided_programs(
+            self, tmp_path, capsys, reference_model):
+        """The partial report of an interrupted chunked sweep counts the
+        programs decided, not the chunks started, and never says
+        EXACT."""
+        from repro.check import SWEEP_CODEC
+        from repro.formal import VerdictStore
+        cache = str(tmp_path / "sweep.jsonl")
+        assert main(["sweep", "--generate", "threads=2,len=2",
+                     "--limit", "20", "--chunk", "7", "--cache", cache,
+                     "--inject-faults", "interrupt:10"]) == 130
+        captured = capsys.readouterr()
+        with VerdictStore(cache, codec=SWEEP_CODEC) as store:
+            decided = len(store)
+        assert decided == 10
+        assert captured.out.startswith(f"{decided} programs, ")
+        assert "EXACT" not in captured.out + captured.err
+        assert "INCOMPLETE" in captured.out
 
 
 class TestBugmatrixCli:

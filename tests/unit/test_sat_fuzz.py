@@ -5,8 +5,9 @@ with its stress knobs cranked (``restart_base=1`` so restarts fire
 constantly, ``reduce_db_threshold=1`` so every learned clause triggers
 a database reduction) and by exhaustive assignment enumeration — and
 the answers must agree.  The same harness fuzzes solving under
-assumptions, incremental clause addition between solves, and batched
-assumption solving; golden pins freeze the search trajectory itself.
+assumptions, incremental clause addition between solves, and solves
+that keep a shared assumption prefix; golden pins freeze the search
+trajectory itself.
 
 Seeded ``random.Random`` throughout: a failure reproduces from the
 printed (seed, round) pair.
@@ -293,23 +294,51 @@ class TestLazyHeapInvariant:
         assert checked > 1000  # backtracks actually exercised
 
 
+def solve_kept(solver, assumption_sets):
+    """Solve each set in order, keeping the decision levels of the
+    prefix it shares with the assumptions of the previous SAT answer
+    (how ``ProgramSolver.decide`` calls the solver).  Returns the
+    statuses and the number of assumption levels kept."""
+    statuses = []
+    kept = 0
+    on_trail = None
+    for assumptions in assumption_sets:
+        keep = 0
+        for a, b in zip(on_trail or (), assumptions):
+            if a != b:
+                break
+            keep += 1
+        kept += keep
+        status = solver.solve(assumptions=assumptions, keep_levels=keep)
+        statuses.append(status)
+        # Only a SAT exit leaves the assumption levels on the trail.
+        on_trail = assumptions if status == SAT else None
+    return statuses, kept
+
+
 class TestSolveBatch:
-    """solve_batch must return the same verdicts as per-call solve()
-    with the same assumption sets (prefix sharing is a pure
-    optimization)."""
+    """A batch of ``solve(keep_levels=...)`` calls must return the same
+    verdicts as per-call ``solve()`` with the same assumption sets
+    (keeping a shared prefix is a pure optimization)."""
 
     def _assumption_sets(self, rng):
+        # Most sets extend a prefix of one shared list, like the sweep's
+        # selector assumption lists; a couple are independent.
+        order = rng.sample(range(1, NUM_VARS + 1), NUM_VARS)
+        base = [v if rng.random() < 0.5 else -v for v in order[:3]]
         sets = []
-        for _ in range(6):
-            k = rng.randint(0, 4)
-            vs = rng.sample(range(1, NUM_VARS + 1), k)
+        for _ in range(4):
+            tail = rng.sample(order[3:], rng.randint(0, 2))
+            sets.append(base[:rng.randint(0, 3)]
+                        + [v if rng.random() < 0.5 else -v for v in tail])
+        for _ in range(2):
+            vs = rng.sample(range(1, NUM_VARS + 1), rng.randint(0, 4))
             sets.append([v if rng.random() < 0.5 else -v for v in vs])
-        # Sorted sets share longer prefixes, like the sweep's selector
-        # assumption lists; keep a couple unsorted for the general case.
-        return [sorted(s, key=abs) for s in sets[:4]] + sets[4:]
+        return sets
 
     def test_verdict_parity_both_cores(self):
         rng = random.Random(0xBA7C4)
+        kept_total = 0
         for round_no in range(ROUNDS // 2):
             clauses = random_cnf(rng)
             sets = self._assumption_sets(rng)
@@ -318,43 +347,33 @@ class TestSolveBatch:
             for cl in clauses:
                 batch.add_clause(list(cl))
                 single.add_clause(list(cl))
-            got = batch.solve_batch([list(s) for s in sets])
+            got, kept = solve_kept(batch, [list(s) for s in sets])
             want = [single.solve(assumptions=list(s)) for s in sets]
             assert got == want, f"seed=0xBA7C4 round={round_no}"
-            assert batch.batch_assumption_levels == \
-                sum(len(s) for s in sets)
-            assert 0 <= batch.batch_shared_levels <= \
-                batch.batch_assumption_levels
+            assert 0 <= kept <= sum(len(s) for s in sets)
+            kept_total += kept
+        assert kept_total > 0  # prefixes were actually kept
 
-    def test_on_result_sees_the_model(self):
-        """The callback fires while the SAT model is still intact —
-        the window decide_batch uses for witness extraction."""
+    def test_kept_prefix_model_is_current(self):
+        """After a kept-prefix SAT answer the model is the one of the
+        current assumptions: the window the cycle check reads."""
         solver = ArenaSolver()
         solver.add_clause([1, 2])
         solver.add_clause([-1, 3])
-        seen = []
-
-        def on_result(index, status):
-            if status == SAT:
-                seen.append((index, solver.model_value(1),
-                             solver.model_value(3)))
-            else:
-                seen.append((index, None, None))
-
-        statuses = solver.solve_batch(
-            [[1], [1, -3], [-1]], on_result=on_result)
-        assert statuses == [SAT, UNSAT, SAT]
-        assert seen[0][0] == 0 and seen[0][1] is True \
-            and seen[0][2] is True
-        assert seen[1] == (1, None, None)
-        assert seen[2][0] == 2 and seen[2][1] is False
+        statuses, kept = solve_kept(solver, [[1], [1, -2], [1, -3], [-1]])
+        assert statuses == [SAT, SAT, UNSAT, SAT]
+        assert kept == 2
+        assert solver.model_value(-1) and solver.model_value(2)
+        assert solver.solve(assumptions=[1, -2], keep_levels=0) == SAT
+        assert solver.model_value(1) and solver.model_value(-2) \
+            and solver.model_value(3)
 
     def test_empty_and_singleton_batches(self):
         solver = ArenaSolver()
         solver.add_clause([1])
-        assert solver.solve_batch([]) == []
-        assert solver.solve_batch([[]]) == [SAT]
-        assert solver.solve_batch([[-1]]) == [UNSAT]
+        assert solve_kept(solver, []) == ([], 0)
+        assert solve_kept(solver, [[]]) == ([SAT], 0)
+        assert solve_kept(solver, [[-1]]) == ([UNSAT], 0)
 
 
 class TestBudgetHygiene:
