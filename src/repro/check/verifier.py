@@ -183,9 +183,13 @@ class Checker:
 
 
 def format_suite_report(verdicts: List[TestVerdict],
-                        show_stats: bool = True) -> str:
+                        show_stats: bool = True,
+                        total: Optional[int] = None) -> str:
     """Artifact-appendix style report (paper A.5), with per-test
-    encoding/solve statistics."""
+    encoding/solve statistics.  ``total`` is the size of the suite when
+    ``verdicts`` is the partial result of an interrupted run: the
+    footer then says the run is incomplete, never that all tests
+    pass."""
     lines = []
     total_ms = 0.0
     failures = 0
@@ -207,15 +211,15 @@ def format_suite_report(verdicts: List[TestVerdict],
         failures += 1 if verdict.failed else 0
         undecided += 0 if verdict.decided else 1
     lines.append(f"--- {total_ms:.3f} ms ---")
-    if failures == 0 and undecided == 0:
-        lines.append("======= ALL TESTS PASS =======")
-    else:
-        parts = []
-        if failures:
-            parts.append(f"{failures} TEST(S) FAILED")
-        if undecided:
-            parts.append(f"{undecided} UNDECIDED (budget exhausted)")
-        lines.append(f"======= {', '.join(parts)} =======")
+    parts = []
+    if total is not None:
+        decided = len(verdicts) - undecided
+        parts.append(f"INCOMPLETE: {decided}/{total} test(s) decided")
+    if failures:
+        parts.append(f"{failures} TEST(S) FAILED")
+    if undecided:
+        parts.append(f"{undecided} UNDECIDED (budget exhausted)")
+    lines.append(f"======= {', '.join(parts) or 'ALL TESTS PASS'} =======")
     return "\n".join(lines)
 
 

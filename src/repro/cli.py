@@ -123,7 +123,7 @@ def _check_budget(timeout: float):
 
 def _fault_plan(spec: str):
     from .resilience import parse_fault_spec
-    return parse_fault_spec(spec) if spec else None
+    return parse_fault_spec(spec)
 
 
 #: --cores value -> formal design configuration
@@ -213,7 +213,7 @@ def _cmd_check(args: argparse.Namespace) -> int:
                         fault_plan=_fault_plan(args.inject_faults))
     except InterruptedRun as exc:
         if exc.partial:
-            print(format_suite_report(exc.partial))
+            print(format_suite_report(exc.partial, total=len(tests)))
         _print_interrupt(exc, _rerun_hint(args))
         return _interrupt_exit_code(signal_state)
     finally:
@@ -330,7 +330,8 @@ def _run_generated_sweep(model, args, store):
     tasks across chunks.  Reports merge in enumeration order, so the
     final digest is identical to a single-shot sweep and to any
     ``--jobs`` count.  Raises :class:`InterruptedRun` carrying the
-    merged partial report.
+    merged partial report and counting the programs decided over all
+    chunks.
     """
     import itertools
 
@@ -369,8 +370,11 @@ def _run_generated_sweep(model, args, store):
                      report.overstrict, report.undecided)])
         if interrupted is not None:
             total.partial = True
-            interrupted.partial = total
-            raise interrupted
+            out_of = f"/{limit}" if limit is not None else ""
+            raise InterruptedRun(
+                f"sweep interrupted after {total.programs}{out_of} "
+                f"program(s)", partial=total,
+                resumable=interrupted.resumable) from interrupted
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
@@ -545,12 +549,11 @@ def _cmd_stats(args: argparse.Namespace) -> int:
 
 def _cmd_serve(args: argparse.Namespace) -> int:
     from .resilience import BackoffSchedule
-    from .service import Daemon, ServeConfig, parse_chaos_spec
+    from .service import Daemon, ServeConfig
 
-    chaos = parse_chaos_spec(args.inject_chaos) if args.inject_chaos \
-        else None
+    plan = _fault_plan(args.inject_faults)
     backoff = BackoffSchedule(jitter=args.respawn_jitter,
-                              seed=chaos.seed if chaos else 0) \
+                              seed=plan.seed if plan else 0) \
         if args.respawn_jitter > 0 else BackoffSchedule()
     config = ServeConfig(
         state_dir=args.state_dir,
@@ -563,7 +566,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         recycle_after=args.recycle_after,
         backoff=backoff,
         store_root=args.store_root or None,
-        chaos=chaos,
+        fault_plan=plan,
     )
     return Daemon(config).run()
 
@@ -704,11 +707,16 @@ def _add_resilience_flags(parser: argparse.ArgumentParser,
                         help=f"per-{what} wall-clock budget in seconds "
                              f"(0 = unlimited; exhaustion yields a "
                              f"conservative TIMEOUT verdict, never a PASS)")
+    _add_fault_flag(parser)
+
+
+def _add_fault_flag(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--inject-faults", default="",
-                        help="deterministic fault injection for resilience "
-                             "testing, e.g. 'crash:0,hang:3' "
-                             "(kinds: crash/hang/garbage/interrupt; "
-                             "verdicts are unaffected)")
+                        help="seeded, replayable fault injection for "
+                             "resilience testing, e.g. 'kill:0,hang:3' or "
+                             "'seed=7,kill%%=20' (kinds: kill/hang/garbage/"
+                             "slow/interrupt; verdicts are unaffected; "
+                             "grammar: repro.resilience.faults)")
 
 
 def main(argv: Optional[List[str]] = None) -> int:
@@ -925,10 +933,7 @@ def main(argv: Optional[List[str]] = None) -> int:
                          help="opt-in deterministic seeded jitter "
                               "fraction on worker respawn backoff "
                               "(0 = byte-identical classic schedule)")
-    p_serve.add_argument("--inject-chaos", default="",
-                         help="seeded replayable service fault plan, "
-                              "e.g. 'seed=7,kill%%=20,daemon-kill:3,"
-                              "store-budget=4096' (see docs/service.md)")
+    _add_fault_flag(p_serve)
     p_serve.set_defaults(func=_cmd_serve)
 
     p_submit = sub.add_parser(

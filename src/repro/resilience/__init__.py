@@ -16,9 +16,10 @@ the end-to-end ``repro pipeline`` command) builds on the same four:
   over one-shot pools): per-worker initializer state, crash/hang
   detection, bounded retry waves with pool rebuilds, inline fallback
   in the parent process, and the one site where fault plans fire;
-* :mod:`repro.resilience.faults` — deterministic fault plans keyed by
-  execution index, so fault tolerance can be *proven* not to change
-  results.
+* :mod:`repro.resilience.faults` — the one seeded fault plan and spec
+  grammar, asked by the worker pool (keyed by task index) and by the
+  ``repro serve`` daemon (keyed by dispatch), so fault tolerance can
+  be *proven* not to change results.
 
 The guiding invariant, shared with the discharge scheduler: faults and
 budgets may change wall clock and statistics, never the verdicts a
@@ -36,10 +37,12 @@ from .budgets import (
     BudgetClock,
 )
 from .faults import (
-    CRASH,
+    FAULT_KINDS,
     GARBAGE,
     HANG,
     INTERRUPT,
+    KILL,
+    SLOW,
     FaultPlan,
     parse_fault_spec,
 )
@@ -60,8 +63,10 @@ __all__ = [
     "worker_state",
     "FaultPlan",
     "parse_fault_spec",
-    "CRASH",
+    "FAULT_KINDS",
+    "KILL",
     "HANG",
     "GARBAGE",
+    "SLOW",
     "INTERRUPT",
 ]

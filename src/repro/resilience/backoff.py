@@ -7,7 +7,7 @@ Centralizing it keeps two properties the fault-injection tests rely
 on:
 
 * **deterministic** — the default schedule has no jitter, so a test
-  that injects ``crash:0`` twice observes the exact same delay
+  that injects ``kill:0`` twice observes the exact same delay
   sequence on every run.  Jitter is opt-in (``jitter > 0``) and still
   deterministic: the spread is a seeded hash of ``(seed, salt,
   attempt)``, so a fleet of workers desynchronizes their respawns

@@ -21,11 +21,11 @@ would.
 Fault injection has one site, too: a
 :class:`repro.resilience.faults.FaultPlan` attached to the pool fires
 in :func:`_worker_entry`, keyed by the task's index (``first_index``
-plus the item's position) and attempt.  Crashes, hangs and garbage run
+plus the item's position) and attempt.  Kills, hangs and garbage run
 at the task site — in the worker, or inline in the parent, where a
-hard crash raises :class:`repro.errors.WorkerCrashError` instead of
-killing the process — and interrupts are raised in the parent at the
-exact point the task's result would be consumed.
+kill raises :class:`repro.errors.WorkerCrashError` instead of killing
+the process — and interrupts are raised in the parent at the exact
+point the task's result would be consumed.
 ``KeyboardInterrupt`` — real or injected — hard-kills the executor
 before propagating, so a Ctrl-C never leaves orphaned workers behind;
 results already delivered to ``on_result`` (e.g. a journal) survive the
@@ -46,7 +46,7 @@ from typing import (Callable, Dict, List, NamedTuple, Optional, Sequence,
 
 from ..errors import DischargeTimeout, ResilienceError, WorkerCrashError
 from .backoff import BackoffSchedule
-from .faults import CRASH, GARBAGE, HANG, INTERRUPT, FaultPlan
+from .faults import GARBAGE, HANG, INTERRUPT, KILL, FaultPlan
 
 Item = TypeVar("Item")
 Result = TypeVar("Result")
@@ -96,18 +96,19 @@ def _worker_entry(task, item, index: int, attempt: int,
     """Run one task (in a worker or inline), executing any planned
     fault first."""
     fault = plan.fault_for(index, attempt) if plan is not None else None
-    if fault == CRASH:
-        if plan.hard_crashes and _WORKER_STATE.get("in_worker"):
+    if fault == KILL:
+        if not plan.soft and _WORKER_STATE.get("in_worker"):
             os._exit(43)  # hard death: parent sees BrokenProcessPool
         raise WorkerCrashError(
-            f"injected crash at task {index} attempt {attempt}")
+            f"injected kill at task {index} attempt {attempt}")
     if fault == HANG:
         raise DischargeTimeout(
             f"injected hang at task {index} attempt {attempt}")
     if fault == GARBAGE:
         return GARBAGE_RESULT
     # INTERRUPT is a parent-side fault: the worker computes normally and
-    # the parent raises before consuming the result.
+    # the parent raises before consuming the result.  SLOW is honoured
+    # by the serve fleet only.
     return task(item)
 
 
@@ -254,7 +255,7 @@ class WorkerPool:
     # ------------------------------------------------------------------
     def _run_inline(self, call: _Map, index: int, start_attempt: int):
         """Decide one item in-process with the same retry policy as the
-        pool path (crash/hang injections raise here instead of killing
+        pool path (kill/hang injections raise here instead of killing
         a worker; persistent faults eventually propagate)."""
         site = call.first_index + index
         attempt = start_attempt

@@ -28,10 +28,12 @@ away.  This package keeps that work alive between requests:
   deterministic contiguous stripes dispatched across idle workers and
   merged back into the byte-identical single-worker artifact, with
   exhausted shards degrading to a first-class partial-UNKNOWN report;
-* :mod:`repro.service.chaos` — seeded, replayable service-level fault
-  plans (``repro serve --inject-chaos``): worker kills at frame
-  boundaries, torn frames, heartbeat stalls, stragglers, store ENOSPC
-  budgets, and daemon ``kill -9`` between shard completions.
+
+``repro serve --inject-faults`` arms a seeded, replayable
+:class:`repro.resilience.FaultPlan` (the one fault grammar of the
+repo): worker kills at frame boundaries, torn frames, heartbeat
+stalls, stragglers, store ENOSPC budgets, and a daemon ``kill -9``
+between shard completions.
 
 The invariant carried over from the rest of the repo: the service may
 change wall-clock time and recovery statistics, never verdicts — a
@@ -39,7 +41,6 @@ check-suite job's report digest is byte-identical to a one-shot
 ``repro check`` of the same model.
 """
 
-from .chaos import ChaosPlan, parse_chaos_spec
 from .client import ServiceClient
 from .daemon import Daemon, JobQueue, ServeConfig, default_socket_path
 from .jobs import JOB_KINDS, validate_params
@@ -50,7 +51,6 @@ from .store import ArtifactStore
 
 __all__ = [
     "ArtifactStore",
-    "ChaosPlan",
     "Daemon",
     "JobLedger",
     "JobQueue",
@@ -62,7 +62,6 @@ __all__ = [
     "default_socket_path",
     "merge_check_shards",
     "merge_sweep_shards",
-    "parse_chaos_spec",
     "shard_bounds",
     "validate_params",
 ]

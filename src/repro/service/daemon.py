@@ -49,8 +49,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from ..errors import ServiceError
-from ..resilience import BackoffSchedule
-from .chaos import ChaosPlan
+from ..resilience import HANG, INTERRUPT, SLOW, BackoffSchedule, FaultPlan
 from .fleet import WorkerFleet
 from .jobs import validate_params
 from .ledger import JobLedger
@@ -91,9 +90,9 @@ class ServeConfig:
     #: dirs, separate ledgers) share one store, which the store's
     #: flock discipline makes safe
     store_root: Optional[str] = None
-    #: seeded fault-injection plan (``--inject-chaos``); None in
+    #: seeded fault-injection plan (``--inject-faults``); None in
     #: production
-    chaos: Optional[ChaosPlan] = None
+    fault_plan: Optional[FaultPlan] = None
 
     def resolved_socket(self) -> str:
         return self.socket_path or default_socket_path(self.state_dir)
@@ -170,7 +169,7 @@ class Daemon:
         self.ledger = JobLedger(os.path.join(config.state_dir,
                                              "jobs.jsonl"))
         self.queue = JobQueue(config.max_queue)
-        self._chaos = config.chaos
+        self._faults = config.fault_plan
         self._chaos_path = os.path.join(config.state_dir, "chaos.jsonl")
         self.fleet = WorkerFleet(
             self.store_root, workers=config.workers,
@@ -180,17 +179,17 @@ class Daemon:
             recycle_after=config.recycle_after,
             backoff=config.backoff,
             extra_child_closers=self._forked_socket_closers,
-            store_byte_budget=(config.chaos.store_budget
-                               if config.chaos else None))
+            store_byte_budget=(self._faults.store_budget
+                               if self._faults else None))
         self._jobs: Dict[str, _JobRecord] = {}
         #: in-flight sharded jobs by parent id (rebuilt from the
         #: ledger's shard records when a restart re-expands the job)
         self._sharded: Dict[str, ShardedJob] = {}
         #: FIFO of (parent_id, shard_index) awaiting an idle worker
         self._shard_queue: List[Tuple[str, int]] = []
-        #: monotone dispatch-site counter (the chaos plan's time axis)
+        #: monotone dispatch-site counter (the fault plan's site axis)
         self._dispatch_sites = 0
-        #: completions recorded (shard + whole-job) — daemon-kill axis
+        #: completions recorded (shard + whole-job) — the interrupt axis
         self._completions = 0
         self._seq = self.ledger.next_seq()
         self._draining = False
@@ -366,8 +365,7 @@ class Daemon:
             if sharded is None:
                 self._shard_queue.pop(0)
                 continue
-            fault = self._chaos.fault_for(self._dispatch_sites, index) \
-                if self._chaos else None
+            fault = self._fault_directive(index)
             if not self.fleet.dispatch(shard_id(parent_id, index),
                                        sharded.kind,
                                        sharded.shard_params(index),
@@ -388,8 +386,7 @@ class Daemon:
                 self.queue.take()
                 self._expand_shards(record, shards)
                 continue
-            fault = self._chaos.fault_for(self._dispatch_sites) \
-                if self._chaos else None
+            fault = self._fault_directive()
             if not self.fleet.dispatch(job_id, record.kind, record.params,
                                        fault=fault):
                 break
@@ -520,12 +517,28 @@ class Daemon:
         self.echo(f"[serve] {parent_id} failed permanently: {reason}")
 
     # ------------------------------------------------------------------
-    # Chaos bookkeeping
+    # Fault injection
     # ------------------------------------------------------------------
+    def _fault_directive(self, shard: Optional[int] = None):
+        """The fault the plan puts on the next dispatch, as the worker
+        reads it from the job frame: ``(kind,)`` or, for a hang or a
+        straggler, ``(kind, seconds)``.  An interrupt stops the daemon
+        at a completion (:meth:`_note_completion`), never a worker."""
+        plan = self._faults
+        kind = plan.fault_for(self._dispatch_sites, shard=shard) \
+            if plan else None
+        if kind is None or kind == INTERRUPT:
+            return None
+        if kind == HANG:
+            return (kind, plan.hang_seconds)
+        if kind == SLOW:
+            return (kind, plan.slow_seconds)
+        return (kind,)
+
     def _chaos_log(self, event: Dict) -> None:
-        """Append one event to the replayable chaos journal (CI uploads
-        it next to the partial reports)."""
-        if self._chaos is None:
+        """Append one event to the replayable fault journal,
+        ``chaos.jsonl`` (CI uploads it next to the partial reports)."""
+        if self._faults is None:
             return
         line = json.dumps({"t": round(time.time(), 3), **event},
                           sort_keys=True)
@@ -539,7 +552,7 @@ class Daemon:
         site = self._dispatch_sites
         self._dispatch_sites += 1
         if fault is not None:
-            self.echo(f"[serve] chaos: {fault[0]} injected into "
+            self.echo(f"[serve] fault: {fault[0]} injected into "
                       f"{dispatch_id} (site {site})")
             self._chaos_log({"event": "fault", "site": site,
                              "dispatch": dispatch_id,
@@ -552,11 +565,11 @@ class Daemon:
         tests exercise."""
         ordinal = self._completions
         self._completions += 1
-        if self._chaos is not None and \
-                self._chaos.kill_daemon_after(ordinal):
+        if self._faults is not None and \
+                self._faults.fires(INTERRUPT, ordinal):
             self._chaos_log({"event": "daemon-kill", "ordinal": ordinal,
                              "after": dispatch_id})
-            self.echo(f"[serve] chaos: daemon kill -9 after completion "
+            self.echo(f"[serve] fault: daemon kill -9 after completion "
                       f"{ordinal} ({dispatch_id})")
             os._exit(137)
 
@@ -800,8 +813,8 @@ class Daemon:
                 "dispatch_sites": self._dispatch_sites,
                 "completions": self._completions,
             },
-            "chaos": (self._chaos.describe()
-                      if self._chaos is not None else None),
+            "faults": (self._faults.spec
+                       if self._faults is not None else None),
         }
 
     def _handle_result(self, request: Dict) -> Dict:

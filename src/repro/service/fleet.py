@@ -49,7 +49,7 @@ from typing import Dict, List, Optional, Tuple
 
 import multiprocessing as mp
 
-from ..resilience import BackoffSchedule
+from ..resilience import GARBAGE, HANG, KILL, SLOW, BackoffSchedule
 from .jobs import WorkerContext, execute_job
 
 _HEADER = struct.Struct("!I")
@@ -133,7 +133,7 @@ def _worker_main(sock: socket.socket, inherited: List[socket.socket],
     signal.signal(signal.SIGINT, signal.SIG_IGN)
     ctx = WorkerContext(store_root, store_byte_budget=store_byte_budget)
     stop = threading.Event()
-    stalled = threading.Event()  # chaos: heartbeats pause while set
+    stalled = threading.Event()  # a hang fault: heartbeats pause
     send_lock = threading.Lock()
 
     def _send(message) -> None:
@@ -162,14 +162,14 @@ def _worker_main(sock: socket.socket, inherited: List[socket.socket],
             job_id, kind, params = message[1], message[2], message[3]
             fault = message[4] if len(message) > 4 else None
             if fault is not None:
-                # Chaos directives ride inside the job frame so the
+                # Fault directives ride inside the job frame so the
                 # injected failure lands exactly at a frame boundary —
                 # the job is dispatched (the supervisor holds it as
                 # busy) but no result frame will arrive intact.
-                if fault[0] == "kill":
+                if fault[0] == KILL:
                     # SIGKILL-equivalent: no cleanup, no result frame.
                     os._exit(137)
-                if fault[0] == "torn":
+                if fault[0] == GARBAGE:
                     # A length header promising more bytes than will
                     # ever come, then death: the supervisor must hold
                     # the torn tail and reap us, not block or crash.
@@ -180,14 +180,14 @@ def _worker_main(sock: socket.socket, inherited: List[socket.socket],
                         except OSError:
                             pass
                     os._exit(137)
-                if fault[0] == "stall":
+                if fault[0] == HANG:
                     # Heartbeats stop; the hang detector decides.  If
                     # the stall outlives hang_timeout we are reaped
                     # mid-sleep; otherwise the job proceeds normally.
                     stalled.set()
                     time.sleep(fault[1])
                     stalled.clear()
-                elif fault[0] == "slow":
+                elif fault[0] == SLOW:
                     # Straggler: heartbeats keep flowing, the result
                     # is just late.  Shard merging must wait, not drop.
                     time.sleep(fault[1])
@@ -287,7 +287,8 @@ class WorkerFleet:
         #: (the daemon registers its listener + live client conns here)
         self.extra_child_closers = extra_child_closers
         self.store_root = store_root
-        #: chaos ENOSPC shim: workers' stores refuse writes past this
+        #: ``store-budget`` ENOSPC shim: workers' stores refuse writes
+        #: past this
         self.store_byte_budget = store_byte_budget
         self.heartbeat_interval = heartbeat_interval
         self.hang_timeout = hang_timeout
@@ -392,8 +393,8 @@ class WorkerFleet:
     def dispatch(self, job_id: str, kind: str, params: Dict,
                  fault=None) -> bool:
         """Hand one job to an idle live worker; False when none free.
-        ``fault`` is an optional chaos directive shipped in the job
-        frame (see :mod:`repro.service.chaos`)."""
+        ``fault`` is an optional fault directive shipped in the job
+        frame (see :meth:`repro.service.daemon.Daemon._fault_directive`)."""
         for slot in self._slots:
             if slot.alive and slot.busy_job is None and not slot.retiring:
                 if not self._send(slot, ("job", job_id, kind, params,

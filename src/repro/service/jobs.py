@@ -197,8 +197,8 @@ class WorkerContext:
         try:
             self.store.close()
         except OSError:
-            # Counter folds are diagnostics; a full disk (or the chaos
-            # byte budget) must not turn a clean worker exit into a
+            # Counter folds are diagnostics; a full disk (or the fault
+            # plan's store budget) must not turn a clean worker exit into a
             # crash.
             pass
 

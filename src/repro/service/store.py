@@ -39,10 +39,10 @@ writes are atomic renames, so readers never see a half-entry; the
 mid-flight writer, and counter folds are exact rather than merely
 undercounting.
 
-``byte_budget`` is a fault-injection shim for the service chaos
-harness: once the session has written that many payload bytes, every
-further :meth:`put_bytes` raises ``ENOSPC`` — the deterministic stand-
-in for a full disk.  Callers (the verdict store, artifact writes) must
+``byte_budget`` is the fault plan's ``store-budget`` shim (``repro
+serve --inject-faults store-budget=N``): once the session has written
+that many payload bytes, every further :meth:`put_bytes` raises
+``ENOSPC`` — the deterministic stand-in for a full disk.  Callers (the verdict store, artifact writes) must
 degrade to cache misses, never to failed jobs.
 """
 
@@ -90,7 +90,7 @@ class ArtifactStore:
         self.evictions = 0
         #: entry paths quarantined (renamed ``.corrupt``) this session
         self.quarantined: List[str] = []
-        #: chaos shim: payload bytes this session may write before
+        #: ``store-budget`` shim: payload bytes this session may write before
         #: put_bytes starts raising ENOSPC (None = unlimited)
         self.byte_budget = byte_budget
         self.bytes_written = 0

@@ -14,10 +14,9 @@ from repro.check import (SUITE_CODEC, SWEEP_CODEC, run_suite, suite_digest,
 from repro.check.verifier import _verdict_projection
 from repro.errors import InterruptedRun
 from repro.formal import VerdictStore
-from repro.resilience import Budget, FaultPlan
+from repro.resilience import Budget, parse_fault_spec
 
-TRANSIENT = FaultPlan(crashes=frozenset({0}), hangs=frozenset({4}),
-                      garbage=frozenset({2}), hard_crashes=False)
+TRANSIENT = parse_fault_spec("kill:0,hang:4,garbage:2,soft")
 
 
 @pytest.fixture(scope="module")
@@ -40,7 +39,7 @@ class TestFaultedSuiteParity:
 
     def test_hard_crash_in_pool_mode_recovers(
             self, reference_model, litmus_suite, clean_suite):
-        plan = FaultPlan(crashes=frozenset({1}))  # kills the worker process
+        plan = parse_fault_spec("kill:1")  # kills the worker process
         run = run_suite(reference_model, litmus_suite, jobs=4,
                         fault_plan=plan)
         assert suite_digest(run.verdicts) == clean_suite[1]
@@ -51,7 +50,7 @@ class TestInterruptResumeParity:
     def test_interrupt_then_resume_matches_clean(
             self, reference_model, litmus_suite, clean_suite, tmp_path, jobs):
         journal = str(tmp_path / f"check-{jobs}.jsonl")
-        plan = FaultPlan(interrupts=frozenset({20}))
+        plan = parse_fault_spec("interrupt:20")
         with pytest.raises(InterruptedRun) as excinfo, \
                 VerdictStore(journal, codec=SUITE_CODEC) as store:
             run_suite(reference_model, litmus_suite, jobs=jobs,
@@ -68,7 +67,7 @@ class TestInterruptResumeParity:
 
     def test_interrupt_without_journal_is_not_resumable(
             self, reference_model, litmus_suite):
-        plan = FaultPlan(interrupts=frozenset({3}))
+        plan = parse_fault_spec("interrupt:3")
         with pytest.raises(InterruptedRun) as excinfo:
             run_suite(reference_model, litmus_suite[:8], jobs=1,
                       fault_plan=plan)
@@ -116,7 +115,7 @@ class TestSweepFaultTolerance:
     def test_interrupted_sweep_resumes_to_same_digest(
             self, reference_model, clean_sweep, tmp_path):
         journal = str(tmp_path / "sweep.jsonl")
-        plan = FaultPlan(interrupts=frozenset({6}))
+        plan = parse_fault_spec("interrupt:6")
         with pytest.raises(InterruptedRun) as excinfo, \
                 VerdictStore(journal, codec=SWEEP_CODEC) as store:
             verify_exactness(reference_model, limit=16, jobs=1,

@@ -16,15 +16,14 @@ from repro.core import Rtl2Uspec
 from repro.designs import load_unicore, unicore_metadata
 from repro.errors import WorkerCrashError
 from repro.formal import PropertyChecker, VerdictStore
-from repro.resilience import FaultPlan
+from repro.resilience import parse_fault_spec
 from repro.uspec import format_model
 
 CANDIDATES = ["ir_de", "gpr", "dstore.cells"]
 
 #: one transient fault of each flavor, at the plan-order execution
 #: indices the scheduler assigns identically for every job count
-TRANSIENT = FaultPlan(crashes=frozenset({0}), hangs=frozenset({4}),
-                      garbage=frozenset({2}))
+TRANSIENT = parse_fault_spec("kill:0,hang:4,garbage:2")
 
 
 def synthesizer(checker, jobs=1, verdicts=None, fault_plan=None):
@@ -93,8 +92,7 @@ class TestInterruptAndResume:
         # Run 1: a persistent crash at the last execution site survives
         # every retry, so synthesis aborts — but everything decided
         # before it is checkpointed in the journal.
-        plan = FaultPlan(crashes=frozenset({total - 1}),
-                         hard_crashes=False, attempts=99)
+        plan = parse_fault_spec(f"kill:{total - 1},soft,attempts=99")
         journal = VerdictStore(path, resume=False)
         with synthesizer(PropertyChecker(bound=10, max_k=1),
                          verdicts=journal, fault_plan=plan) as synth:

@@ -14,7 +14,7 @@ import pytest
 
 from repro.errors import InterruptedRun, PipelineError
 from repro.pipeline import PipelineConfig, run_pipeline
-from repro.resilience import FaultPlan
+from repro.resilience import parse_fault_spec
 
 
 def _sha256(path):
@@ -65,14 +65,14 @@ class TestKillAndResume:
         state = tmp_path / "pipeline-faulted"
         # Attempt 0: die partway through SVA discharge.
         synth_kill = _config(
-            state, synth_fault_plan=FaultPlan(interrupts=frozenset({5})))
+            state, synth_fault_plan=parse_fault_spec("interrupt:5"))
         with pytest.raises(InterruptedRun) as excinfo:
             run_pipeline(synth_kill)
         assert excinfo.value.resumable
         # Attempt 1: synth completes on resume; die partway through check.
         check_kill = _config(
             state, resume=True,
-            check_fault_plan=FaultPlan(interrupts=frozenset({10})))
+            check_fault_plan=parse_fault_spec("interrupt:10"))
         with pytest.raises(InterruptedRun) as excinfo:
             run_pipeline(check_kill)
         assert excinfo.value.resumable
@@ -88,7 +88,7 @@ class TestKillAndResume:
         with pytest.raises(InterruptedRun):
             run_pipeline(_config(
                 state,
-                check_fault_plan=FaultPlan(interrupts=frozenset({30}))))
+                check_fault_plan=parse_fault_spec("interrupt:30")))
         result = run_pipeline(_config(state, resume=True))
         assert result.stages_resumed == ["synth"]
         assert _sha256(result.report_path) == clean_run["report_sha"]

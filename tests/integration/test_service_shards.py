@@ -1,16 +1,16 @@
-"""End-to-end tests of fleet sharding and the service chaos harness.
+"""End-to-end tests of fleet sharding and service fault injection.
 
 Acceptance criteria pinned against real daemon subprocesses:
 
 * a sweep/check submitted with ``shards=N`` produces the
   **byte-identical** artifact (same digest, same JSON bytes) as the
   unsharded single-worker run;
-* a seeded chaos plan (worker kills, torn frames, stragglers, store
+* a seeded fault plan (worker kills, torn frames, stragglers, store
   ENOSPC) converges to the fault-free digest at any worker count;
 * a shard whose every attempt is killed (``kill:@sJ``) degrades its
   stripe to first-class UNKNOWN in a ``partial: true`` report with
   job state ``unknown`` — the finished shards' verdicts survive;
-* ``daemon-kill:K`` between a shard's ledger append and the merge
+* ``interrupt:K`` (a daemon kill) between a shard's ledger append and the merge
   loses nothing: a restarted daemon replays the delivered shards and
   a client ``wait(down_grace=...)`` rides through to the identical
   artifact;
@@ -155,10 +155,10 @@ class TestChaosConvergence:
         # kill shard 2's first attempt, tear a retry frame, slow
         # another dispatch: every fault is retried or waited out and
         # the merge still reproduces the oracle bytes.
-        plan = "seed=3,kill:2,torn:4,slow:5,slow-secs=0.05"
+        plan = "seed=3,kill:2,garbage:4,slow:5,slow-secs=0.05"
         proc, client = _spawn_daemon(
             tmp_path / f"chaos-{workers}", "--workers", workers,
-            "--inject-chaos", plan)
+            "--inject-faults", plan)
         try:
             summary, artifact, _ = oracle["check"]
             job = client.submit("check", {"tests": TESTS, "shards": 4})
@@ -178,7 +178,7 @@ class TestChaosConvergence:
         proc, client = _spawn_daemon(
             tmp_path / "stall", "--workers", "2",
             "--hang-timeout", "1.5",
-            "--inject-chaos", "stall:0,stall-secs=30")
+            "--inject-faults", "hang:0,hang-secs=30")
         try:
             summary, artifact, _ = oracle["check"]
             job = client.submit("check", {"tests": TESTS, "shards": 2})
@@ -195,7 +195,7 @@ class TestChaosConvergence:
         # tier degrades to misses, the verdicts are unaffected.
         proc, client = _spawn_daemon(
             tmp_path / "enospc", "--workers", "1",
-            "--inject-chaos", "store-budget=64")
+            "--inject-faults", "store-budget=64")
         try:
             summary, artifact, _ = oracle["check"]
             job = client.submit("check", {"tests": TESTS})
@@ -217,7 +217,7 @@ class TestPartialReports:
         proc, client = _spawn_daemon(
             tmp_path / "partial", "--workers", "2",
             "--max-attempts", "2",
-            "--inject-chaos", "kill:@s1")
+            "--inject-faults", "kill:@s1")
         try:
             job = client.submit("check", {"tests": TESTS, "shards": 3})
             result = client.wait(job, timeout=600)
@@ -252,7 +252,7 @@ class TestLedgerReplayUnderChaos:
         state_dir = tmp_path / "replay"
         proc, client = _spawn_daemon(
             state_dir, "--workers", "1",
-            "--inject-chaos", "daemon-kill:1")
+            "--inject-faults", "interrupt:1")
         job = client.submit("check", {"tests": TESTS, "shards": 3})
 
         outcome = {}

@@ -90,6 +90,20 @@ def test_check_injected_interrupt_exits_130_and_resumes(
     assert "ALL TESTS PASS" in out
 
 
+def test_interrupted_check_report_says_incomplete(
+        capsys, reference_model, tmp_path):
+    """A partial suite report ends with an INCOMPLETE footer, never
+    ALL TESTS PASS."""
+    assert main(["check", "mp", "sb", "lb",
+                 "--cache", str(tmp_path / "c.jsonl"),
+                 "--inject-faults", "interrupt:1"]) == 130
+    captured = capsys.readouterr()
+    assert "ALL TESTS PASS" not in captured.out
+    assert captured.out.rstrip().endswith(
+        "======= INCOMPLETE: 1/3 test(s) decided =======")
+    assert "check interrupted after 1/3 test(s)" in captured.err
+
+
 @pytest.mark.parametrize("fault", [
     ["--inject-faults", "interrupt:1"],
     ["--inject-faults=interrupt:1"],
@@ -109,7 +123,7 @@ def test_check_inline_hard_crash_is_retried_not_fatal(capsys,
                                                      reference_model):
     # A hard crash (the default plan) kills only pool workers; at
     # --jobs 1 the task runs in this process, so it raises and retries.
-    assert main(["check", "--jobs", "1", "--inject-faults", "crash:0",
+    assert main(["check", "--jobs", "1", "--inject-faults", "kill:0",
                  "mp", "sb"]) == 0
     out = capsys.readouterr().out
     assert "ALL TESTS PASS" in out
@@ -338,6 +352,33 @@ class TestSweepGenerateCli:
         assert captured.out.startswith(f"{decided} programs, ")
         assert "EXACT" not in captured.out + captured.err
         assert "INCOMPLETE" in captured.out
+        # the interrupt message counts over every chunk, out of --limit
+        assert f"sweep interrupted after {decided}/20 program(s)" in \
+            captured.err
+
+    def test_seeded_kill_rate_converges_chunked_and_unchunked(
+            self, tmp_path, capsys, reference_model):
+        """Rate draws stay keyed by the absolute task index, so a
+        chunked and an unchunked sweep meet the same kills (in
+        different chunks here) and both reach the fault-free digest."""
+        import json
+
+        from repro.resilience import parse_fault_spec
+        spec = "seed=3,kill%=20,soft"
+        plan = parse_fault_spec(spec)
+        assert [site for site in range(20) if plan.fault_for(site)] == \
+            [9, 14]
+        sweep = ["sweep", "--generate", "threads=2,len=2", "--limit", "20"]
+        digests = {}
+        for label, extra in (("clean", []),
+                             ("chunked", ["--chunk", "7",
+                                          "--inject-faults", spec]),
+                             ("unchunked", ["--inject-faults", spec])):
+            report = tmp_path / f"{label}.json"
+            assert main(sweep + extra + ["--report-json", str(report)]) == 0
+            digests[label] = json.loads(report.read_text())["digest"]
+        capsys.readouterr()
+        assert digests["chunked"] == digests["unchunked"] == digests["clean"]
 
 
 class TestBugmatrixCli:

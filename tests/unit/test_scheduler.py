@@ -153,7 +153,7 @@ class TestParallelDischarge:
 # change verdicts, only statistics.
 # ----------------------------------------------------------------------
 from repro.errors import DischargeTimeout, FormalError, WorkerCrashError  # noqa: E402
-from repro.resilience import FaultPlan  # noqa: E402
+from repro.resilience import parse_fault_spec  # noqa: E402
 
 
 def faulty_scheduler(factory, plan, jobs=1, **kwargs):
@@ -181,7 +181,7 @@ def fault_free(factory):
 
 class TestFaultInjectionInline:
     def test_hang_is_retried_to_convergence(self, factory, fault_free):
-        scheduler = faulty_scheduler(factory, FaultPlan(hangs=frozenset({0})))
+        scheduler = faulty_scheduler(factory, parse_fault_spec("hang:0"))
         results = statuses(scheduler.discharge(two_wire_graph()))
         assert results == fault_free
         assert scheduler.stats.timeouts == 1
@@ -189,7 +189,7 @@ class TestFaultInjectionInline:
         assert scheduler.stats.faults_observed() == 1
 
     def test_crash_is_retried_to_convergence(self, factory, fault_free):
-        plan = FaultPlan(crashes=frozenset({0}), hard_crashes=False)
+        plan = parse_fault_spec("kill:0,soft")
         scheduler = faulty_scheduler(factory, plan)
         results = statuses(scheduler.discharge(two_wire_graph()))
         assert results == fault_free
@@ -197,27 +197,26 @@ class TestFaultInjectionInline:
         assert scheduler.stats.retries == 1
 
     def test_garbage_verdict_is_rejected_and_retried(self, factory, fault_free):
-        scheduler = faulty_scheduler(factory, FaultPlan(garbage=frozenset({1})))
+        scheduler = faulty_scheduler(factory, parse_fault_spec("garbage:1"))
         results = statuses(scheduler.discharge(two_wire_graph()))
         assert results == fault_free
         assert scheduler.stats.garbage_verdicts == 1
         assert scheduler.stats.retries == 1
         # The eventual verdict is the real one, trace included.
         refuted = [v for _, v in
-                   faulty_scheduler(factory, FaultPlan(garbage=frozenset({1})))
+                   faulty_scheduler(factory, parse_fault_spec("garbage:1"))
                    .discharge(two_wire_graph()) if v.refuted]
         assert refuted and refuted[0].trace is not None
 
     def test_persistent_fault_exhausts_retries_and_raises(self, factory):
-        plan = FaultPlan(crashes=frozenset({0}), hard_crashes=False,
-                         attempts=99)
+        plan = parse_fault_spec("kill:0,soft,attempts=99")
         scheduler = faulty_scheduler(factory, plan)
         with pytest.raises(WorkerCrashError):
             scheduler.discharge(two_wire_graph())
         assert scheduler.stats.worker_crashes == scheduler.max_retries + 1
 
     def test_persistent_hang_raises_discharge_timeout(self, factory):
-        plan = FaultPlan(hangs=frozenset({0}), attempts=99)
+        plan = parse_fault_spec("hang:0,attempts=99")
         scheduler = faulty_scheduler(factory, plan)
         with pytest.raises(DischargeTimeout):
             scheduler.discharge(two_wire_graph())
@@ -227,7 +226,7 @@ class TestFaultInjectionPool:
     def test_hard_worker_crash_recovers(self, factory, fault_free):
         # os._exit(43) in the worker: the parent sees BrokenProcessPool,
         # rebuilds the pool, and still converges to fault-free verdicts.
-        plan = FaultPlan(crashes=frozenset({0}), hard_crashes=True)
+        plan = parse_fault_spec("kill:0")
         with faulty_scheduler(factory, plan, jobs=2) as scheduler:
             results = statuses(scheduler.discharge(two_wire_graph()))
         assert results == fault_free
@@ -238,7 +237,7 @@ class TestFaultInjectionPool:
                                                         fault_free):
         # attempts=max_retries+1: every pool attempt hangs, the final
         # inline fallback (attempt index max_retries+1) succeeds.
-        plan = FaultPlan(hangs=frozenset({0}), attempts=4)
+        plan = parse_fault_spec("hang:0,attempts=4")
         with faulty_scheduler(factory, plan, jobs=2, max_retries=3) as sched:
             results = statuses(sched.discharge(two_wire_graph()))
         assert results == fault_free
@@ -247,7 +246,7 @@ class TestFaultInjectionPool:
         assert sched.stats.retries == 3
 
     def test_garbage_from_pool_worker_rejected(self, factory, fault_free):
-        plan = FaultPlan(garbage=frozenset({0, 1}))
+        plan = parse_fault_spec("garbage:0,garbage:1")
         with faulty_scheduler(factory, plan, jobs=2) as scheduler:
             results = statuses(scheduler.discharge(two_wire_graph()))
         assert results == fault_free
@@ -307,7 +306,7 @@ class TestJournalIntegration:
             graph.add(assert_wire(wire))
         with VerdictStore(path, resume=False) as journal:
             scheduler = faulty_scheduler(
-                factory, FaultPlan(interrupts=frozenset({2})),
+                factory, parse_fault_spec("interrupt:2"),
                 verdicts=journal)
             with pytest.raises(KeyboardInterrupt):
                 scheduler.discharge(graph)

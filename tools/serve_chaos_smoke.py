@@ -3,13 +3,13 @@
 against real daemons:
 
 1. a fault-free baseline daemon runs the sharded check suite once;
-2. each seeded chaos plan (worker kills, torn frames, stragglers) runs
+2. each seeded fault plan (worker kills, torn frames, stragglers) runs
    the same sharded job at 1 and 4 workers — every run must converge
    to the baseline digest and byte-identical artifact;
 3. a ``kill:@s1`` plan exhausts one shard's retries — the job must
    land ``unknown`` with a ``partial: true`` report naming exactly the
    lost stripe (the report is kept for CI artifact upload);
-4. a ``daemon-kill`` plan hard-exits the daemon between a shard's
+4. an ``interrupt:1`` plan hard-exits the daemon between a shard's
    ledger append and the merge; a restart replays the ledger to the
    baseline digest;
 5. two daemons share one ``--store-root`` while ``repro cache gc``
@@ -36,14 +36,14 @@ SHARDS = 4
 
 CHAOS_PLANS = [
     # Explicit first-attempt faults on three of the four shards.
-    "seed=11,kill:0,torn:2,slow:3,slow-secs=0.05",
+    "seed=11,kill:0,garbage:2,slow:3,slow-secs=0.05",
     # Seeded 20% kill rate: which dispatches die is derived from the
     # seed, so the run is chaotic but exactly replayable.  (Seed 8's
     # hit sites are spaced out, so no shard exhausts its retries; the
     # partial-report path gets its own dedicated plan below.)
     "seed=8,kill%=20",
     # Torn frames on two explicit dispatch sites.
-    "seed=5,torn:1,torn:4",
+    "seed=5,garbage:1,garbage:4",
 ]
 
 
@@ -124,7 +124,7 @@ def main():
             state = os.path.join(BUILD, label)
             proc, client = spawn_daemon(
                 state, "--workers", workers, "--max-attempts", "4",
-                "--respawn-jitter", "0.3", "--inject-chaos", plan)
+                "--respawn-jitter", "0.3", "--inject-faults", plan)
             job, result = run_sharded_check(client)
             status = client.status()
             stop_daemon(proc, client)
@@ -143,7 +143,7 @@ def main():
     state = os.path.join(BUILD, "partial")
     proc, client = spawn_daemon(
         state, "--workers", "2", "--max-attempts", "2",
-        "--inject-chaos", "kill:@s1")
+        "--inject-faults", "kill:@s1")
     job, result = run_sharded_check(client)
     stop_daemon(proc, client)
     keep_for_upload(state, "partial")
@@ -163,7 +163,7 @@ def main():
     # restart resumes to the baseline digest.
     state = os.path.join(BUILD, "daemon-kill")
     proc, client = spawn_daemon(
-        state, "--workers", "1", "--inject-chaos", "daemon-kill:1")
+        state, "--workers", "1", "--inject-faults", "interrupt:1")
     job = client.submit("check", {"tests": TESTS, "shards": SHARDS})
     proc.wait(timeout=600)
     if proc.returncode != 137:
